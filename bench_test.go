@@ -107,8 +107,9 @@ func BenchmarkFigure7Spectre(b *testing.B) { benchFigure7(b, spt.Spectre) }
 // budget); the full variant simulates all of it in detail for every cell,
 // the checkpointed variant executes the skip prefix functionally ONCE per
 // workload and shares the checkpoint across every scheme cell. The
-// "speedup-x" metric is the grid wall-clock ratio (CI floors it), and the
-// sanity check asserts both grids retire the same detailed-region results.
+// "speedup-x" metric is the grid wall-clock ratio (CI floors it through
+// .github/perf-floors.txt), and the sanity check asserts both grids retire
+// the same detailed-region results.
 func BenchmarkFigure7Checkpointed(b *testing.B) {
 	const skip = 2 * benchBudget
 	subset := []string{"perlbench", "mcf", "xz", "chacha20"}

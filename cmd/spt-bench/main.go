@@ -9,18 +9,21 @@
 //	spt-bench -what stats     # Fig. 10-style "where did the slowdown go" breakdown
 //	spt-bench -what pentest   # §9.1 penetration testing
 //	spt-bench -what perf      # simulator-throughput suite (host-side)
-//	spt-bench -what samplebench  # BENCH_sample.json (fast-forward + window-pool timings)
-//	spt-bench -what all       # everything (except samplebench)
+//	spt-bench -what all       # everything
 //
 // -budget scales the per-run retired-instruction count (the SimPoint
 // stand-in); -workloads restricts the suite; -jobs sets how many
 // simulations run concurrently (0 = one per core, 1 = sequential — the
 // figures are bit-identical either way); -window-jobs additionally overlaps
 // each sampled run's measured windows (also bit-identical); -progress
-// reports grid completion on stderr. -json switches the perf report to JSON
-// (the format of BENCH_core.json); -bench-out names the samplebench output
-// file. -cpuprofile/-memprofile write pprof profiles of the whole
-// invocation.
+// reports grid completion on stderr. -json switches the perf report to JSON.
+// -cpuprofile/-memprofile write pprof profiles of the whole invocation. An
+// unknown -what is a usage error (exit 2).
+//
+// Host performance over time is tracked by the repository benchmark
+// (`bash perfbench/run.sh`, declared in BENCHMARK.json), which measures
+// end-to-end and per-layer throughput; the CI perf floors live in
+// .github/perf-floors.txt.
 //
 // -skip fast-forwards every run past a functional prefix (executed once per
 // workload and shared across the grid; -checkpoint-dir persists the
@@ -39,6 +42,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
 
@@ -48,9 +52,12 @@ import (
 	"spt/internal/taint"
 )
 
+// sections are the valid -what names.
+var sections = []string{"machine", "configs", "fig7", "fig8", "fig9", "width", "stats", "pentest", "perf", "all"}
+
 func main() {
 	var (
-		what       = flag.String("what", "all", "machine|configs|fig7|fig8|fig9|width|stats|pentest|perf|all")
+		what       = flag.String("what", "all", strings.Join(sections, "|"))
 		budget     = flag.Uint64("budget", 120_000, "retired instructions per run")
 		workloads  = flag.String("workloads", "", "comma-separated subset (default: all)")
 		jobs       = flag.Int("jobs", 0, "concurrent simulations (0 = one per core, 1 = sequential)")
@@ -60,11 +67,14 @@ func main() {
 		sample     = flag.String("sample", "", "SMARTS sampling spec: \"intervals\" or \"intervals:warmup:detail\"")
 		progress   = flag.Bool("progress", false, "report per-simulation grid progress on stderr")
 		jsonOut    = flag.Bool("json", false, "emit the perf report as JSON")
-		benchOut   = flag.String("bench-out", "", "samplebench output file (default stdout)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	if !slices.Contains(sections, *what) {
+		fmt.Fprintf(os.Stderr, "spt-bench: unknown -what %q (valid: %s)\n", *what, strings.Join(sections, ", "))
+		os.Exit(2)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -133,13 +143,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "spt-bench: %s: %v\n", name, err)
 			os.Exit(1)
 		}
-	}
-
-	// samplebench is opt-in only: it regenerates a benchmark artifact with
-	// repeated timed runs, so "all" does not include it.
-	if *what == "samplebench" {
-		run("samplebench", func() error { return runSampleBench(ctx, *benchOut) })
-		return
 	}
 
 	run("machine", func() error {

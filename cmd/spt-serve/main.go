@@ -3,9 +3,8 @@
 // content-addressed result cache, per-tenant quotas, queue-depth
 // backpressure, and SSE progress streaming.
 //
-//	spt-serve -addr :8714                         # serve the API
-//	spt-serve -queue-dir q/ -cache-dir c/         # durable queue + cache
-//	spt-serve -bench -bench-out BENCH_serve.json  # measure and exit
+//	spt-serve -addr :8714                  # serve the API
+//	spt-serve -queue-dir q/ -cache-dir c/  # durable queue + cache
 //
 // The API (see DESIGN.md §4h):
 //
@@ -21,20 +20,20 @@
 // SIGINT/SIGTERM drain gracefully: the listener stops accepting, workers
 // finish their in-flight jobs, and the queue journal keeps every pending
 // job for the next process to resume.
+//
+// Serving latency is measured by the repository benchmark's serve-mix
+// workload (`bash perfbench/run.sh --workload serve-mix`, declared in
+// BENCHMARK.json), which drives an in-process server over loopback.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
-	"sort"
-	"strings"
 	"syscall"
 	"time"
 
@@ -54,9 +53,6 @@ func main() {
 		quotaRate    = flag.Float64("quota-rate", 0, "per-tenant jobs/sec admitted (0 = unlimited)")
 		quotaBurst   = flag.Int("quota-burst", 8, "per-tenant token-bucket burst")
 		drainWait    = flag.Duration("drain-timeout", time.Minute, "graceful drain deadline on SIGTERM")
-		bench        = flag.Bool("bench", false, "run the serving benchmark and exit")
-		benchOut     = flag.String("bench-out", "BENCH_serve.json", "benchmark report path (with -bench)")
-		benchN       = flag.Int("bench-requests", 12, "distinct jobs per benchmark phase (with -bench)")
 	)
 	flag.Parse()
 
@@ -69,13 +65,6 @@ func main() {
 		MaxQueueDepth: *maxQueue,
 		QuotaRate:     *quotaRate,
 		QuotaBurst:    *quotaBurst,
-	}
-
-	if *bench {
-		if err := runBench(cfg, *benchOut, *benchN); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	srv, err := serve.New(cfg)
@@ -112,161 +101,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "spt-serve: drain deadline passed; unfinished jobs were requeued:", err)
 	}
 	fmt.Fprintln(os.Stderr, "spt-serve: drained")
-}
-
-// benchPhase is one measured phase of the serving benchmark.
-type benchPhase struct {
-	Requests       int     `json:"requests"`
-	RequestsPerSec float64 `json:"requests_per_sec"`
-	P50Ms          float64 `json:"p50_ms"`
-	P99Ms          float64 `json:"p99_ms"`
-}
-
-// benchReport is the BENCH_serve.json schema.
-type benchReport struct {
-	Engine   string     `json:"engine"`
-	Workers  int        `json:"workers"`
-	Budget   uint64     `json:"budget"`
-	Uncached benchPhase `json:"uncached"`
-	Cached   benchPhase `json:"cached"`
-	// Speedup is uncached p50 over cached p50: what content addressing
-	// buys a repeated query.
-	Speedup float64 `json:"speedup_p50"`
-}
-
-// runBench measures end-to-end serving latency through a real HTTP
-// listener: N distinct small jobs (uncached: each executes a simulation)
-// and then the same N again (cached: zero simulation). Requests run
-// sequentially so the latency distribution is per-request, not
-// queue-contention noise.
-func runBench(cfg serve.Config, out string, n int) error {
-	const budget = 2000
-	cfg.QueueDir, cfg.QuotaRate = "", 0 // the bench is ephemeral and unthrottled
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-
-	srv, err := serve.New(cfg)
-	if err != nil {
-		return err
-	}
-	srv.Start()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = httpSrv.Shutdown(ctx)
-		_ = srv.Shutdown(ctx)
-	}()
-	base := "http://" + ln.Addr().String()
-
-	phase := func() (benchPhase, error) {
-		lat := make([]time.Duration, 0, n)
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			body := fmt.Sprintf(`{"type":"simulate","cells":[{"workload":"mcf","budget":%d}]}`, budget+uint64(i))
-			t0 := time.Now()
-			id, state, err := post(base, body)
-			if err != nil {
-				return benchPhase{}, err
-			}
-			for state != "done" && state != "failed" {
-				time.Sleep(2 * time.Millisecond)
-				state, err = getState(base, id)
-				if err != nil {
-					return benchPhase{}, err
-				}
-			}
-			if state != "done" {
-				return benchPhase{}, fmt.Errorf("bench job %s failed", id)
-			}
-			lat = append(lat, time.Since(t0))
-		}
-		wall := time.Since(start).Seconds()
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		pct := func(p float64) float64 {
-			k := int(p * float64(len(lat)-1))
-			return float64(lat[k].Microseconds()) / 1000
-		}
-		return benchPhase{
-			Requests:       n,
-			RequestsPerSec: float64(n) / wall,
-			P50Ms:          pct(0.50),
-			P99Ms:          pct(0.99),
-		}, nil
-	}
-
-	uncached, err := phase()
-	if err != nil {
-		return err
-	}
-	cached, err := phase() // identical specs: every request is a cache hit
-	if err != nil {
-		return err
-	}
-	rep := benchReport{
-		Engine:   spt.EngineVersion,
-		Workers:  cfg.Workers,
-		Budget:   budget,
-		Uncached: uncached,
-		Cached:   cached,
-	}
-	if cached.P50Ms > 0 {
-		rep.Speedup = uncached.P50Ms / cached.P50Ms
-	}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if err := os.WriteFile(out, b, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "spt-serve: bench written to %s\n", out)
-	_, err = os.Stdout.Write(b)
-	return err
-}
-
-// post submits a job and returns its id and admission-time state.
-func post(base, body string) (string, string, error) {
-	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
-	if err != nil {
-		return "", "", err
-	}
-	defer resp.Body.Close()
-	var v struct {
-		ID    string `json:"id"`
-		State string `json:"state"`
-		Error string `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		return "", "", err
-	}
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-		return "", "", fmt.Errorf("POST /v1/jobs: %d %s", resp.StatusCode, v.Error)
-	}
-	return v.ID, v.State, nil
-}
-
-// getState polls a job's state.
-func getState(base, id string) (string, error) {
-	resp, err := http.Get(base + "/v1/jobs/" + id)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	var v struct {
-		State string `json:"state"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		return "", err
-	}
-	return v.State, nil
 }
 
 func fatal(err error) {

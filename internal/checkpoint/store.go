@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -177,8 +178,19 @@ func (s *Store) load(key Key) (*emu.Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
+	snap, err := decodeFile(key, b)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %s: %w", s.path(key), err)
+	}
+	return snap, nil
+}
+
+// decodeFile parses a checkpoint file's framing (magic, program hash,
+// snapshot hash, skip distance, snapshot body) and checks it against key
+// and the body's integrity hash before decoding the snapshot.
+func decodeFile(key Key, b []byte) (*emu.Snapshot, error) {
 	if len(b) < len(ckptMagic)+32+32+8 || string(b[:len(ckptMagic)]) != ckptMagic {
-		return nil, fmt.Errorf("checkpoint: %s is not a checkpoint file", s.path(key))
+		return nil, errors.New("not a checkpoint file")
 	}
 	b = b[len(ckptMagic):]
 	var progHash, snapHash [32]byte
@@ -187,16 +199,27 @@ func (s *Store) load(key Key) (*emu.Snapshot, error) {
 	skip := binary.LittleEndian.Uint64(b[64:72])
 	body := b[72:]
 	if progHash != key.Hash || skip != key.Skip {
-		return nil, fmt.Errorf("checkpoint: %s was built for a different program or skip distance", s.path(key))
+		return nil, errors.New("built for a different program or skip distance")
 	}
 	if sha256.Sum256(body) != snapHash {
-		return nil, fmt.Errorf("checkpoint: %s failed its integrity check (corrupt)", s.path(key))
+		return nil, errors.New("failed its integrity check (corrupt)")
 	}
-	snap, err := emu.UnmarshalSnapshot(body)
+	return emu.UnmarshalSnapshot(body)
+}
+
+// encodeFile frames snap as the checkpoint file for key.
+func encodeFile(key Key, snap *emu.Snapshot) ([]byte, error) {
+	body, err := snap.MarshalBinary()
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %s: %w", s.path(key), err)
+		return nil, err
 	}
-	return snap, nil
+	sum := sha256.Sum256(body)
+	out := make([]byte, 0, len(ckptMagic)+32+32+8+len(body))
+	out = append(out, ckptMagic...)
+	out = append(out, key.Hash[:]...)
+	out = append(out, sum[:]...)
+	out = binary.LittleEndian.AppendUint64(out, key.Skip)
+	return append(out, body...), nil
 }
 
 // save writes the snapshot file for key atomically (temp file + rename).
@@ -207,17 +230,10 @@ func (s *Store) save(key Key, snap *emu.Snapshot) error {
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	body, err := snap.MarshalBinary()
+	out, err := encodeFile(key, snap)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	sum := sha256.Sum256(body)
-	out := make([]byte, 0, len(ckptMagic)+32+32+8+len(body))
-	out = append(out, ckptMagic...)
-	out = append(out, key.Hash[:]...)
-	out = append(out, sum[:]...)
-	out = binary.LittleEndian.AppendUint64(out, key.Skip)
-	out = append(out, body...)
 
 	tmp, err := os.CreateTemp(s.dir, ".ckpt-*")
 	if err != nil {

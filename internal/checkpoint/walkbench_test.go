@@ -17,9 +17,9 @@ import (
 //	cold-MIPS:   no warming at all (plain Run), the engine's upper bound
 //	speedup-x:   warm-MIPS / hooked-MIPS
 //
-// The CI perf smoke parses warm-MIPS and speedup-x; both paths produce
-// byte-identical warm state (TestWalkerReplayMatchesHooked), so the ratio
-// is pure dispatch-and-batching overhead.
+// CI floors warm-MIPS and speedup-x (.github/perf-floors.txt); both paths
+// produce byte-identical warm state (TestWalkerReplayMatchesHooked), so the
+// ratio is pure dispatch-and-batching overhead.
 func BenchmarkWarmingWalker(b *testing.B) {
 	const insts = 1_000_000
 	hcfg := mem.DefaultHierarchyConfig()

@@ -2,8 +2,9 @@
 // number the threaded-code work is judged by: emulated millions of
 // instructions per host second for the predecoded basic-block engine
 // (Run), against the single-instruction reference interpreter (Step)
-// executing the identical region. CI runs the aes-bitslice case with
-// -benchtime=1x and floors the speedup-x metric.
+// executing the identical region. CI runs the aes-bitslice and lbm cases
+// with -benchtime=1x and floors their speedup-x metric
+// (.github/perf-floors.txt).
 package emu
 
 import (

@@ -1,9 +1,10 @@
 // Package mem models the memory system of the simulated machine: set
-// associative write-back caches with MESI coherence state, a non-blocking
-// miss pipeline bounded by MSHRs, a TLB, a mesh NoC latency model for the
-// banked L3, and DRAM. It is a timing model only: data values live in the
-// functional backing store (emu.Memory); this package answers "when does
-// this access complete" and tracks line residency for the shadow L1.
+// associative write-back caches whose lines carry MESI states (one core, so
+// no coherence protocol runs), a non-blocking miss pipeline bounded by
+// MSHRs, a TLB, a mesh NoC latency model for the banked L3, and DRAM. It
+// is a timing model only: data values live in the functional backing store
+// (emu.Memory); this package answers "when does this access complete" and
+// tracks line residency for the shadow L1.
 package mem
 
 import "fmt"
@@ -252,22 +253,6 @@ func (c *Cache) Invalidate(addr uint64) (wasDirty bool, wasPresent bool) {
 		}
 	}
 	return false, false
-}
-
-// Downgrade moves addr's line to Shared (for coherence), reporting whether
-// a writeback of modified data was needed.
-func (c *Cache) Downgrade(addr uint64) (wasDirty bool) {
-	set := c.setOf(addr)
-	tag := c.tagOf(addr)
-	for w := 0; w < c.cfg.Ways; w++ {
-		l := c.slot(set, w)
-		if l.state != Invalid && l.tag == tag {
-			wasDirty = l.state == Modified
-			l.state = Shared
-			return wasDirty
-		}
-	}
-	return false
 }
 
 func (c *Cache) reconstructAddr(set int, tag uint64) uint64 {

@@ -147,63 +147,6 @@ func TestTLB(t *testing.T) {
 	}
 }
 
-func TestDirectoryMESITransitions(t *testing.T) {
-	c0, c1 := smallCache(), smallCache()
-	d := NewDirectory(c0, c1)
-
-	// Core 0 reads: Exclusive.
-	s, _ := d.Read(0, 0x1000)
-	if s != Exclusive {
-		t.Fatalf("first read state = %v, want E", s)
-	}
-	c0.Fill(0x1000, s)
-
-	// Core 1 reads the same line: both Shared, core 0 downgraded.
-	s, _ = d.Read(1, 0x1000)
-	if s != Shared {
-		t.Fatalf("second read state = %v, want S", s)
-	}
-	c1.Fill(0x1000, s)
-	if st, _ := c0.Probe(0x1000); st != Shared {
-		t.Fatalf("core 0 state = %v, want S", st)
-	}
-	if d.Sharers(0x1000) != 2 {
-		t.Fatalf("sharers = %d, want 2", d.Sharers(0x1000))
-	}
-
-	// Core 0 writes: core 1 invalidated.
-	s = d.Write(0, 0x1000)
-	if s != Modified {
-		t.Fatalf("write state = %v, want M", s)
-	}
-	c0.Fill(0x1000, s)
-	if _, present := c1.Probe(0x1000); present {
-		t.Fatal("core 1 not invalidated on write")
-	}
-	if d.Sharers(0x1000) != 1 {
-		t.Fatalf("sharers after write = %d, want 1", d.Sharers(0x1000))
-	}
-
-	// Core 1 reads back: core 0's modified data is forwarded.
-	_, dirty := d.Read(1, 0x1000)
-	if !dirty {
-		t.Fatal("dirty forward not reported")
-	}
-	if st, _ := c0.Probe(0x1000); st != Shared {
-		t.Fatalf("core 0 state after forward = %v, want S", st)
-	}
-}
-
-func TestDirectoryEviction(t *testing.T) {
-	c0 := smallCache()
-	d := NewDirectory(c0)
-	d.Read(0, 0x40)
-	d.Evicted(0, 0x40)
-	if d.Sharers(0x40) != 0 {
-		t.Fatal("eviction did not clear sharers")
-	}
-}
-
 func TestHierarchyLatencies(t *testing.T) {
 	h := NewHierarchy(DefaultHierarchyConfig())
 	cfg := h.Config()

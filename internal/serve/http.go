@@ -195,15 +195,25 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, id string) {
 		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, b)
 		fl.Flush()
 	}
+	emitProgress := func(ev Event) {
+		if ev.Type == "progress" {
+			emit("progress", map[string]int{"done": ev.Done, "total": ev.Total})
+		}
+	}
 	for {
 		select {
 		case <-r.Context().Done():
 			return
 		case ev := <-watcher.Events:
-			if ev.Type == "progress" {
-				emit("progress", map[string]int{"done": ev.Done, "total": ev.Total})
-			}
+			emitProgress(ev)
 		case <-watcher.Done:
+			// select picks at random when Events and Done are both ready.
+			// Every event is queued before Done closes and this loop is
+			// the only reader, so drain the buffer first: no progress
+			// event is lost or emitted after the final state.
+			for len(watcher.Events) > 0 {
+				emitProgress(<-watcher.Events)
+			}
 			// Terminal: report the final state (without the payload — SSE
 			// frames are news, not result transport; GET fetches the body).
 			st, serr := s.Status(id)

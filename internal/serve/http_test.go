@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -241,6 +242,83 @@ func TestHTTPSSEStream(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "event: state") {
 		t.Fatalf("terminal SSE missing state event:\n%s", buf.String())
+	}
+}
+
+// gatedFlusher is an SSE response writer whose first Flush, the one
+// streamJob makes right after subscribing, parks until gate closes. A test
+// can then finish the job while its events sit unread in the watcher.
+type gatedFlusher struct {
+	*httptest.ResponseRecorder
+	subscribed chan struct{}
+	gate       chan struct{}
+	once       sync.Once
+}
+
+func (g *gatedFlusher) Flush() {
+	g.once.Do(func() {
+		close(g.subscribed)
+		<-g.gate
+	})
+	g.ResponseRecorder.Flush()
+}
+
+// TestHTTPSSEDrainsBufferedProgress pins the end-of-job ordering. The job
+// finishes while every progress event is still buffered, so the stream sees
+// its events and the done signal ready at once. It must still emit each
+// progress event, in order, before the single final state event.
+func TestHTTPSSEDrainsBufferedProgress(t *testing.T) {
+	const steps = 5
+	start := make(chan struct{})
+	run := func(ctx context.Context, _ *JobSpec, _ int, progress func(int, int)) ([]byte, error) {
+		<-start
+		for i := 1; i <= steps; i++ {
+			progress(i, steps)
+		}
+		return []byte("{}\n"), nil
+	}
+	s := newTestServer(t, Config{Workers: 1}, run)
+	t.Cleanup(func() { shutdownNow(t, s) })
+	st, err := s.Submit(gridSpec("mcf", 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rec := &gatedFlusher{
+		ResponseRecorder: httptest.NewRecorder(),
+		subscribed:       make(chan struct{}),
+		gate:             make(chan struct{}),
+	}
+	req := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+st.ID, nil)
+	req.Header.Set("Accept", "text/event-stream")
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		s.Handler().ServeHTTP(rec, req)
+	}()
+	<-rec.subscribed
+	close(start)
+	if fin := waitDone(t, s, st.ID); fin.State != StateDone {
+		t.Fatalf("job state %s, want done", fin.State)
+	}
+	close(rec.gate)
+	<-served
+
+	var events []string
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if name, ok := strings.CutPrefix(line, "event: "); ok {
+			events = append(events, name)
+		} else if data, ok := strings.CutPrefix(line, "data: "); ok {
+			events[len(events)-1] += " " + data
+		}
+	}
+	var want []string
+	for i := 1; i <= steps; i++ {
+		want = append(want, fmt.Sprintf(`progress {"done":%d,"total":%d}`, i, steps))
+	}
+	want = append(want, `state {"error":"","state":"done"}`)
+	if strings.Join(events, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("SSE events:\n%s\nwant:\n%s", strings.Join(events, "\n"), strings.Join(want, "\n"))
 	}
 }
 

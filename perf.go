@@ -42,7 +42,9 @@ type PerfRow struct {
 // PerfReport is the simulator-throughput suite's result.
 type PerfReport struct {
 	// Engine is the EngineVersion that produced the report, so archived
-	// BENCH_*.json snapshots are distinguishable across code changes.
+	// perf reports are distinguishable across code changes. Host
+	// performance over time is tracked by the repository benchmark
+	// (BENCHMARK.json, bash perfbench/run.sh), not by archived reports.
 	Engine string
 	Model  AttackModel
 	Budget uint64

@@ -1,8 +1,9 @@
 // Simulator-throughput benchmarks and tests for the perf reporting layer.
-// BenchmarkCoreThroughput is the number the performance work in this repo
-// is judged by: simulated millions of instructions per host second, per
-// protection scheme. CI runs it with -benchtime=1x as a smoke test;
-// meaningful measurements need the default benchtime on an idle machine.
+// BenchmarkCoreThroughput reports simulated millions of instructions per
+// host second, per protection scheme. CI runs it with -benchtime=1x against
+// the floors in .github/perf-floors.txt; meaningful measurements need the
+// default benchtime on an idle machine. End-to-end performance is measured
+// by the repository benchmark (BENCHMARK.json, bash perfbench/run.sh).
 package spt_test
 
 import (
