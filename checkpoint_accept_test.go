@@ -20,7 +20,7 @@ func TestCheckpointedGridRunsPrefixOnce(t *testing.T) {
 		t.Skip("slow")
 	}
 	workloadsList := []string{"mcf", "gcc"}
-	store := spt.NewCheckpointStore("")
+	store := spt.NewCheckpointStore()
 	var jobs []spt.Job
 	for _, w := range workloadsList {
 		for _, s := range []spt.Scheme{spt.UnsafeBaseline, spt.STT, spt.SPTFull} {
@@ -64,7 +64,7 @@ func TestCheckpointStoreDoesNotChangeResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	stored := opt
-	stored.Checkpoints = spt.NewCheckpointStore(t.TempDir())
+	stored.Checkpoints = spt.NewCheckpointStore()
 	viaStore, err := spt.Run("gcc", stored)
 	if err != nil {
 		t.Fatal(err)

@@ -15,14 +15,9 @@ type CheckpointStore struct {
 	inner *checkpoint.Store
 }
 
-// NewCheckpointStore returns a store. dir, if non-empty, persists
-// architectural snapshots on disk (one .ckpt file per prefix) so later
-// processes skip cold functional passes; empty keeps the cache in memory
-// only. Disk entries are integrity-checked against a functional replay
-// when microarchitectural warming is needed, so simulation results are
-// bit-identical whether or not the files existed.
-func NewCheckpointStore(dir string) *CheckpointStore {
-	return &CheckpointStore{inner: checkpoint.NewStore(dir)}
+// NewCheckpointStore returns an empty in-memory store.
+func NewCheckpointStore() *CheckpointStore {
+	return &CheckpointStore{inner: checkpoint.NewStore()}
 }
 
 // CheckpointStoreStats counts store activity. Builds is the number of
@@ -30,21 +25,14 @@ func NewCheckpointStore(dir string) *CheckpointStore {
 // M-model grid it equals the number of distinct workload prefixes, the
 // direct evidence each prefix ran once, not NxM times.
 type CheckpointStoreStats struct {
-	Builds    uint64 // functional fast-forward passes executed
-	MemHits   uint64 // checkpoints served from memory
-	DiskHits  uint64 // checkpoints served from disk without a pass
-	DiskSaves uint64 // snapshot files written
+	Builds  uint64 // functional fast-forward passes executed
+	MemHits uint64 // checkpoints served from memory
 }
 
 // Stats returns a snapshot of the store's counters.
 func (s *CheckpointStore) Stats() CheckpointStoreStats {
 	st := s.inner.Stats()
-	return CheckpointStoreStats{
-		Builds:    st.Builds,
-		MemHits:   st.MemHits,
-		DiskHits:  st.DiskHits,
-		DiskSaves: st.DiskSaves,
-	}
+	return CheckpointStoreStats{Builds: st.Builds, MemHits: st.MemHits}
 }
 
 // checkpointFor returns the checkpoint for p's first o.SkipInstructions
@@ -53,7 +41,7 @@ func (s *CheckpointStore) Stats() CheckpointStoreStats {
 func (o Options) checkpointFor(p *isa.Program) (*checkpoint.Checkpoint, error) {
 	hcfg := mem.DefaultHierarchyConfig()
 	if o.Checkpoints != nil {
-		return o.Checkpoints.inner.Get(p, o.SkipInstructions, hcfg, true)
+		return o.Checkpoints.inner.Get(p, o.SkipInstructions, hcfg)
 	}
 	return checkpoint.Build(p, o.SkipInstructions, hcfg, true)
 }

@@ -26,11 +26,9 @@
 // .github/perf-floors.txt.
 //
 // -skip fast-forwards every run past a functional prefix (executed once per
-// workload and shared across the grid; -checkpoint-dir persists the
-// architectural checkpoints between invocations), and -sample replaces each
-// detailed run with a SMARTS-style sampled estimate. With either flag,
-// `-what perf` reports effective sim-KIPS including fast-forwarded
-// instructions.
+// workload and shared across the grid), and -sample replaces each detailed
+// run with a SMARTS-style sampled estimate. With either flag, `-what perf`
+// reports effective sim-KIPS including fast-forwarded instructions.
 package main
 
 import (
@@ -63,7 +61,6 @@ func main() {
 		jobs       = flag.Int("jobs", 0, "concurrent simulations (0 = one per core, 1 = sequential)")
 		windowJobs = flag.Int("window-jobs", 0, "concurrent measured windows per sampled run (0/1 = serial)")
 		skip       = flag.Uint64("skip", 0, "fast-forward this many instructions functionally before each detailed run")
-		ckptDir    = flag.String("checkpoint-dir", "", "persist architectural checkpoints here (reused across runs)")
 		sample     = flag.String("sample", "", "SMARTS sampling spec: \"intervals\" or \"intervals:warmup:detail\"")
 		progress   = flag.Bool("progress", false, "report per-simulation grid progress on stderr")
 		jsonOut    = flag.Bool("json", false, "emit the perf report as JSON")
@@ -116,9 +113,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	opt := spt.EvalOptions{Budget: *budget, Jobs: *jobs, WindowJobs: *windowJobs, Skip: *skip, Sample: sampleSpec, Context: ctx}
-	if *ckptDir != "" {
-		opt.Checkpoints = spt.NewCheckpointStore(*ckptDir)
-	}
 	if *workloads != "" {
 		opt.Workloads = strings.Split(*workloads, ",")
 	}

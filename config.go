@@ -161,8 +161,7 @@ type Options struct {
 	// Checkpoints, if non-nil, caches fast-forward checkpoints so runs
 	// sharing a (workload, skip) prefix execute it once. Grid harnesses
 	// (RunJobs and the figure harnesses) wire a shared store automatically
-	// when Skip is set; set this to also share across separate calls or to
-	// use an on-disk cache directory.
+	// when Skip is set; set this to also share across separate calls.
 	Checkpoints *CheckpointStore
 
 	// Jobs is the number of measured windows a sampled run simulates

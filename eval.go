@@ -48,8 +48,8 @@ type EvalOptions struct {
 	// Mutually exclusive with Skip.
 	Sample SampleSpec
 	// Checkpoints, if non-nil, supplies the checkpoint store grid cells
-	// share (e.g. NewCheckpointStore with an on-disk directory). Nil with
-	// Skip set uses an ephemeral in-memory store per harness call.
+	// share, so one store can serve several harness calls. Nil with Skip
+	// set uses a fresh store per harness call.
 	Checkpoints *CheckpointStore
 }
 

@@ -16,8 +16,8 @@
 //   - Checkpoint packages one (snapshot, warm state) pair. It is an
 //     immutable template: Materialize hands out per-core copies, so one
 //     checkpoint boots any number of detailed cores, concurrently.
-//   - Store (store.go) caches checkpoints in memory (build-once per key
-//     under concurrency) and persists architectural snapshots on disk.
+//   - Store (store.go) caches warm checkpoints in memory, building each
+//     key once under concurrency.
 package checkpoint
 
 import (
@@ -61,8 +61,8 @@ func ProgramHash(p *isa.Program) [32]byte {
 // Checkpoint is an immutable (snapshot, warm state) template at one point
 // of one program's execution. Hier and Pred hold functionally warmed
 // microarchitectural state with statistics already reset; they are nil
-// for cold checkpoints (e.g. loaded from disk without replay), in which
-// case a restored core boots with a fresh hierarchy and predictor.
+// for cold checkpoints (taken by a walker built without warming), in
+// which case a restored core boots with a fresh hierarchy and predictor.
 type Checkpoint struct {
 	Snap *emu.Snapshot
 	Hier *mem.Hierarchy
@@ -280,7 +280,7 @@ func (w *Walker) Checkpoint() *Checkpoint {
 
 // Build runs one functional pass over prog's first skip instructions and
 // returns the checkpoint at that point (with warm state when warm is
-// set). Use a Store to share and persist the result.
+// set). Use a Store to share the result across runs.
 func Build(p *isa.Program, skip uint64, hcfg mem.HierarchyConfig, warm bool) (*Checkpoint, error) {
 	w := NewWalker(p, hcfg, warm)
 	if err := w.Advance(skip); err != nil {

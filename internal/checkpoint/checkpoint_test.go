@@ -1,8 +1,6 @@
 package checkpoint
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -153,11 +151,7 @@ func TestWalkerDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err := cp.Snap.Hash()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sum
+		return cp.Snap.Hash()
 	}
 	if h() != h() {
 		t.Fatal("two functional passes produced different snapshots")
@@ -175,7 +169,7 @@ func TestWalkerDeterminism(t *testing.T) {
 func TestStoreBuildsOnce(t *testing.T) {
 	p := buildProg(t, "gcc", 1<<40)
 	hcfg := mem.DefaultHierarchyConfig()
-	s := NewStore("")
+	s := NewStore()
 	const callers = 8
 	cps := make([]*Checkpoint, callers)
 	var wg sync.WaitGroup
@@ -183,7 +177,7 @@ func TestStoreBuildsOnce(t *testing.T) {
 	for i := 0; i < callers; i++ {
 		go func(i int) {
 			defer wg.Done()
-			cp, err := s.Get(p, 10_000, hcfg, true)
+			cp, err := s.Get(p, 10_000, hcfg)
 			if err != nil {
 				t.Error(err)
 				return
@@ -202,75 +196,20 @@ func TestStoreBuildsOnce(t *testing.T) {
 		}
 	}
 	// A different skip distance is a different key.
-	if _, err := s.Get(p, 20_000, hcfg, true); err != nil {
+	if _, err := s.Get(p, 20_000, hcfg); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Stats().Builds; got != 2 {
 		t.Fatalf("Builds = %d after second skip distance, want 2", got)
 	}
-}
-
-// TestStoreDisk covers persistence: a second store (fresh process stand-in)
-// serves cold requests from disk without a functional pass, warm requests
-// rebuild and hash-check against the file, and corruption is reported.
-func TestStoreDisk(t *testing.T) {
-	p := buildProg(t, "mcf", 1<<40)
-	hcfg := mem.DefaultHierarchyConfig()
-	dir := t.TempDir()
-	const skip = 10_000
-
-	s1 := NewStore(dir)
-	cp1, err := s1.Get(p, skip, hcfg, false)
-	if err != nil {
-		t.Fatal(err)
+	// A prefix past HALT fails, and keeps failing, without counting a build.
+	short := buildProg(t, "chacha20", 1)
+	for i := 0; i < 2; i++ {
+		if _, err := s.Get(short, 1<<40, hcfg); err == nil {
+			t.Fatal("Get past HALT succeeded; want error")
+		}
 	}
-	if st := s1.Stats(); st.Builds != 1 || st.DiskSaves != 1 {
-		t.Fatalf("first store stats = %+v, want 1 build and 1 save", st)
-	}
-
-	s2 := NewStore(dir)
-	cp2, err := s2.Get(p, skip, hcfg, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := s2.Stats(); st.Builds != 0 || st.DiskHits != 1 {
-		t.Fatalf("second store stats = %+v, want 0 builds and 1 disk hit", st)
-	}
-	h1, _ := cp1.Snap.Hash()
-	h2, _ := cp2.Snap.Hash()
-	if h1 != h2 {
-		t.Fatal("disk round trip changed the snapshot")
-	}
-
-	// Warm request against an existing file: rebuilt (for warm state) and
-	// cross-checked, no new file written.
-	s3 := NewStore(dir)
-	cp3, err := s3.Get(p, skip, hcfg, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp3.Hier == nil || cp3.Pred == nil {
-		t.Fatal("warm request returned a cold checkpoint")
-	}
-	if st := s3.Stats(); st.Builds != 1 || st.DiskSaves != 0 {
-		t.Fatalf("warm-over-disk stats = %+v, want 1 build and 0 saves", st)
-	}
-
-	// Corrupt the file body: the next cold load must fail loudly.
-	ents, err := os.ReadDir(dir)
-	if err != nil || len(ents) != 1 {
-		t.Fatalf("expected exactly one checkpoint file, got %d (%v)", len(ents), err)
-	}
-	path := filepath.Join(dir, ents[0].Name())
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)-1] ^= 0xFF
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewStore(dir).Get(p, skip, hcfg, false); err == nil {
-		t.Fatal("corrupt checkpoint file loaded without error")
+	if st := s.Stats(); st.Builds != 2 || st.MemHits != callers-1 {
+		t.Fatalf("store stats = %+v after failed Gets, want 2 builds and %d memory hits", st, callers-1)
 	}
 }

@@ -37,15 +37,7 @@ func TestWalkerReplayMatchesHooked(t *testing.T) {
 			if !reflect.DeepEqual(fast.Pred, ref.Pred) {
 				t.Fatalf("%s@%d: warm predictors diverge between replay and hooked paths", name, target)
 			}
-			fh, err := fast.Em.Snapshot().Hash()
-			if err != nil {
-				t.Fatal(err)
-			}
-			rh, err := ref.Em.Snapshot().Hash()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fh != rh {
+			if fast.Em.Snapshot().Hash() != ref.Em.Snapshot().Hash() {
 				t.Fatalf("%s@%d: snapshot hashes diverge between replay and hooked paths", name, target)
 			}
 		}

@@ -3,8 +3,7 @@ package emu
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
-	"sort"
+	"slices"
 
 	"spt/internal/isa"
 )
@@ -98,94 +97,39 @@ func (e *Emulator) Restore(s *Snapshot) {
 // Pages reports the number of pages captured by the snapshot.
 func (s *Snapshot) Pages() int { return len(s.pages) }
 
-// snapMagic identifies (and versions) the serialized snapshot format.
-const snapMagic = "SPTSNAP1"
-
-// MarshalBinary serializes the snapshot to the compact on-disk format:
-// magic, architectural fields, then each allocated page (number + raw
-// bytes) in ascending page-number order. The encoding is deterministic —
-// the same execution always produces the same bytes — so Hash doubles as
-// a content identity for the checkpoint cache.
-func (s *Snapshot) MarshalBinary() ([]byte, error) {
+// Hash returns the SHA-256 of the snapshot's canonical encoding: PC,
+// retired count, halt flag and registers, then each allocated page (number
+// and raw bytes) in ascending page-number order. The same execution always
+// produces the same hash, so it serves as an architectural-state digest.
+func (s *Snapshot) Hash() [32]byte {
 	pns := make([]uint64, 0, len(s.pages))
 	for pn := range s.pages {
 		pns = append(pns, pn)
 	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
+	slices.Sort(pns)
 
-	out := make([]byte, 0, len(snapMagic)+8*(3+isa.NumRegs)+len(pns)*(8+pageSize))
-	out = append(out, snapMagic...)
-	out = binary.LittleEndian.AppendUint64(out, s.PC)
-	out = binary.LittleEndian.AppendUint64(out, s.Retired)
+	h := sha256.New()
+	var buf [8]byte
+	u64 := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	u64(s.PC)
+	u64(s.Retired)
 	var halted uint64
 	if s.Halted {
 		halted = 1
 	}
-	out = binary.LittleEndian.AppendUint64(out, halted)
+	u64(halted)
 	for _, r := range s.Regs {
-		out = binary.LittleEndian.AppendUint64(out, r)
+		u64(r)
 	}
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(pns)))
+	u64(uint64(len(pns)))
 	for _, pn := range pns {
-		out = binary.LittleEndian.AppendUint64(out, pn)
-		out = append(out, s.pages[pn][:]...)
+		u64(pn)
+		h.Write(s.pages[pn][:])
 	}
-	return out, nil
-}
-
-// UnmarshalSnapshot parses the format produced by MarshalBinary.
-func UnmarshalSnapshot(b []byte) (*Snapshot, error) {
-	if len(b) < len(snapMagic) || string(b[:len(snapMagic)]) != snapMagic {
-		return nil, fmt.Errorf("emu: not a snapshot (bad magic)")
-	}
-	b = b[len(snapMagic):]
-	need := func(n int) error {
-		if len(b) < n {
-			return fmt.Errorf("emu: truncated snapshot")
-		}
-		return nil
-	}
-	u64 := func() uint64 {
-		v := binary.LittleEndian.Uint64(b)
-		b = b[8:]
-		return v
-	}
-	if err := need(8 * (3 + isa.NumRegs + 1)); err != nil {
-		return nil, err
-	}
-	s := &Snapshot{pages: map[uint64]*page{}}
-	s.PC = u64()
-	s.Retired = u64()
-	s.Halted = u64() != 0
-	for r := range s.Regs {
-		s.Regs[r] = u64()
-	}
-	n := u64()
-	for i := uint64(0); i < n; i++ {
-		if err := need(8 + pageSize); err != nil {
-			return nil, err
-		}
-		pn := u64()
-		if _, dup := s.pages[pn]; dup {
-			return nil, fmt.Errorf("emu: snapshot page %d duplicated", pn)
-		}
-		p := new(page)
-		copy(p[:], b[:pageSize])
-		b = b[pageSize:]
-		s.pages[pn] = p
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("emu: %d trailing bytes after snapshot", len(b))
-	}
-	return s, nil
-}
-
-// Hash returns the SHA-256 of the canonical serialization: the snapshot's
-// content identity for the checkpoint cache.
-func (s *Snapshot) Hash() ([32]byte, error) {
-	b, err := s.MarshalBinary()
-	if err != nil {
-		return [32]byte{}, err
-	}
-	return sha256.Sum256(b), nil
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
 }

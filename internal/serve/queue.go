@@ -123,10 +123,11 @@ func openJournal(dir string) (*journal, []journalRecord, error) {
 	return &journal{path: path, f: f}, pending, nil
 }
 
-// loadPending replays the journal: submits minus dones/cancels, in
-// submission-sequence order. A missing file is an empty queue. A corrupt
-// trailing line (torn write) is tolerated; corruption earlier in the file
-// is an error rather than silent job loss.
+// loadPending replays the journal: submits minus dones/cancels, once per
+// id, in the order each id was first submitted (the queue itself orders
+// by priority and sequence number). A missing file is an empty queue. A
+// corrupt trailing line (torn write) is tolerated; corruption earlier in
+// the file is an error rather than silent job loss.
 func loadPending(path string) ([]journalRecord, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -140,7 +141,7 @@ func loadPending(path string) ([]journalRecord, error) {
 	submits := map[string]journalRecord{}
 	var order []string
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24)
 	var parseErr error
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -167,9 +168,7 @@ func loadPending(path string) ([]journalRecord, error) {
 			}
 			submits[rec.ID] = rec
 		case "done", "cancel":
-			if _, ok := submits[rec.ID]; ok {
-				delete(submits, rec.ID)
-			}
+			delete(submits, rec.ID)
 		default:
 			return nil, fmt.Errorf("serve: queue journal %s: unknown op %q", path, rec.Op)
 		}
@@ -181,6 +180,9 @@ func loadPending(path string) ([]journalRecord, error) {
 	for _, id := range order {
 		if rec, ok := submits[id]; ok {
 			pending = append(pending, rec)
+			// An id retired and then resubmitted is in order twice; it is
+			// one pending job.
+			delete(submits, id)
 		}
 	}
 	return pending, nil

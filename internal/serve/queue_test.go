@@ -145,6 +145,41 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	}
 }
 
+// TestJournalResubmitIsPendingOnce: a cancelled job resubmitted under its
+// old id (the server admits failed and cancelled ids as new work) replays
+// as one pending job carrying the resubmission's metadata, not two.
+func TestJournalResubmitIsPendingOnce(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := simulateSpec("mcf")
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []journalRecord{
+		{Op: "submit", ID: "aaa", Seq: 1, Spec: spec},
+		{Op: "submit", ID: "bbb", Seq: 2, Spec: spec},
+		{Op: "cancel", ID: "aaa"},
+		{Op: "submit", ID: "aaa", Seq: 3, Spec: spec},
+	} {
+		if err := j.append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+
+	j2, pending, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+	if len(pending) != 2 || pending[0].ID != "aaa" || pending[0].Seq != 3 || pending[1].ID != "bbb" {
+		t.Fatalf("pending = %+v, want aaa (seq 3) and bbb once each", pending)
+	}
+}
+
 func TestJournalRejectsMidFileCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, journalName)

@@ -1,6 +1,9 @@
 package stats
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // MeanStd returns the sample mean and the Bessel-corrected (n-1) sample
 // standard deviation of xs. It underlies SMARTS-style sampling confidence
@@ -25,4 +28,21 @@ func MeanStd(xs []float64) (mean, std float64) {
 		ss += d * d
 	}
 	return mean, math.Sqrt(ss / float64(n-1))
+}
+
+// Median returns the median of xs (the mean of the middle two for an even
+// count, 0 for empty input) without reordering xs. Benchmarks report it
+// over interleaved repeats, where one disturbed repeat must not move the
+// figure.
+func Median(xs []float64) float64 {
+	n := len(xs)
+	if n == 0 {
+		return 0
+	}
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -22,6 +23,28 @@ func TestMeanStd(t *testing.T) {
 		mean, std := MeanStd(c.xs)
 		if !approx(mean, c.mean) || !approx(std, c.std) {
 			t.Errorf("%s: MeanStd = (%g, %g), want (%g, %g)", c.name, mean, std, c.mean, c.std)
+		}
+	}
+}
+
+func TestMedian(t *testing.T) {
+	cases := []struct {
+		name string
+		xs   []float64
+		want float64
+	}{
+		{"empty", nil, 0},
+		{"single", []float64{3.5}, 3.5},
+		{"odd", []float64{9, 1, 4, 100, 2}, 4},
+		{"even", []float64{4, 1, 3, 2}, 2.5},
+	}
+	for _, c := range cases {
+		in := slices.Clone(c.xs)
+		if got := Median(c.xs); got != c.want {
+			t.Errorf("%s: Median = %g, want %g", c.name, got, c.want)
+		}
+		if !slices.Equal(in, c.xs) {
+			t.Errorf("%s: Median reordered its input", c.name)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package spt
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -66,14 +67,12 @@ func RunPerf(opt EvalOptions) (*PerfReport, error) {
 	// functional prefix runs once, not once per scheme.
 	store := opt.Checkpoints
 	if store == nil && opt.Skip > 0 {
-		store = NewCheckpointStore("")
+		store = NewCheckpointStore()
 	}
 	for _, name := range names {
 		for _, s := range PerfSchemes() {
-			if opt.Context != nil {
-				if err := opt.Context.Err(); err != nil {
-					return nil, err
-				}
+			if opt.Context != nil && opt.Context.Err() != nil {
+				return nil, context.Cause(opt.Context)
 			}
 			res, err := Run(name, Options{
 				Scheme:                s,

@@ -7,7 +7,9 @@
 package spt_test
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"testing"
 
 	"spt"
@@ -120,5 +122,18 @@ func TestPerfReportDeterministic(t *testing.T) {
 		if row.HostSeconds <= 0 {
 			t.Fatalf("raw report missing host timing: %+v", row)
 		}
+	}
+}
+
+// TestRunPerfCancellationCause: a context cancelled with a cause before
+// the suite starts stops it with that cause, as RunJobs and Run do, not
+// with a bare context.Canceled.
+func TestRunPerfCancellationCause(t *testing.T) {
+	cause := errors.New("perf suite cancelled by caller")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	_, err := spt.RunPerf(spt.EvalOptions{Budget: 4_000, Workloads: []string{"xz"}, Context: ctx})
+	if !errors.Is(err, cause) {
+		t.Fatalf("RunPerf on a cancelled context returned %v, want the cancellation cause", err)
 	}
 }

@@ -83,7 +83,7 @@ func jobRunner(jobs []Job, opt EvalOptions) func(Job) (*Result, error) {
 	if store == nil {
 		for _, j := range jobs {
 			if j.Skip > 0 {
-				store = NewCheckpointStore("")
+				store = NewCheckpointStore()
 				break
 			}
 		}
@@ -133,9 +133,10 @@ func safeRun[J comparable, R any](j J, run func(J) (R, error)) (res R, err error
 	return run(j)
 }
 
-// runPool is the shared evaluation engine behind RunJobs and RunFuzz: it
-// executes the deduplicated job list on cfg.Workers workers (1 reproduces
-// a strictly sequential harness) and collects results into a map keyed by
+// runPool is the shared evaluation engine behind grids, fuzzing,
+// campaigns, verification and sampled runs' measured windows: it executes
+// the deduplicated job list on cfg.Workers workers (1 reproduces a
+// strictly sequential harness) and collects results into a map keyed by
 // job. Only scheduling is concurrent — callers aggregate from the map in
 // their own order, so rendered output is bit-identical for any worker
 // count. On error the first failure in job order is returned and partial

@@ -2,12 +2,12 @@ package spt
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"spt/internal/checkpoint"
@@ -184,12 +184,16 @@ func runWindow(ctx context.Context, p *isa.Program, o Options, cfg pipeline.Conf
 
 // runSampled is the sampled-simulation driver behind Run: one functional
 // walker pass over the budget, checkpointing at each interval's window and
-// booting a detailed core from the warm checkpoint. With Options.Jobs > 1
-// the walker becomes a streaming producer and up to Jobs windows simulate
-// concurrently, each on its own copy-on-write snapshot and cloned warm
-// state. Fully deterministic at any Jobs value: the walker, the
-// checkpoints, and each detailed window depend only on the program and
-// options, and aggregation always runs in window-index order.
+// booting a detailed core from the warm checkpoint. Each window is one
+// runPool job on up to Options.Jobs workers (<= 0 means one window at a
+// time). The walker is inherently sequential, so a turnstile hands it from
+// window k to window k+1: job k advances it and captures checkpoint k in
+// index order, then simulates its window concurrently with its neighbours,
+// each on its own copy-on-write snapshot and cloned warm state. Fully
+// deterministic at any Jobs value: the walker, the checkpoints, and each
+// detailed window depend only on the program and options, runPool reports
+// the earliest failure by window index, and aggregation runs in
+// window-index order.
 func runSampled(p *isa.Program, o Options) (*Result, error) {
 	spec, err := o.Sample.normalized(o.MaxInstructions)
 	if err != nil {
@@ -210,121 +214,78 @@ func runSampled(p *isa.Program, o Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	jobs := o.Jobs
-	if jobs < 1 {
-		jobs = 1
-	}
-	if jobs > spec.Intervals {
-		jobs = spec.Intervals
-	}
 
 	hostStart := time.Now()
 	w := checkpoint.NewWalker(p, hcfg, true)
-	results := make([]*windowRun, spec.Intervals)
-	var walkSeconds float64
+	var walkSeconds float64 // summed inside the turnstile only
+	// turn[k] opens when window k may take the walker. A window that fails
+	// to advance it never opens the next turn; aborted tells windows
+	// waiting for a turn that the walk will not reach them. Any window
+	// waiting then has a higher index than the failed one, so its own
+	// error is never the one reported.
+	turn := make([]chan struct{}, spec.Intervals)
+	for k := range turn {
+		turn[k] = make(chan struct{})
+	}
+	close(turn[0])
+	aborted := make(chan struct{})
+	var abortOnce sync.Once
+	errAborted := errors.New("spt: sampled walk aborted by an earlier window")
 
-	if jobs == 1 {
-		// Serial: produce and consume each window in turn. This is the
-		// reference order; the concurrent path below computes the exact same
-		// windows from the exact same checkpoints.
-		for i := 0; i < spec.Intervals; i++ {
-			if ctx.Err() != nil {
-				return nil, context.Cause(ctx)
+	window := func(k int) (r *windowRun, err error) {
+		defer func() {
+			if r == nil {
+				abortOnce.Do(func() { close(aborted) })
 			}
-			t0 := time.Now()
-			if err := w.Advance(windowStart(i)); err != nil {
-				return nil, err
-			}
-			cp := w.Checkpoint()
-			walkSeconds += time.Since(t0).Seconds()
-			r, err := runWindow(ctx, p, o, cfg, hcfg, spec, i, cp)
-			if err != nil {
-				return nil, err
-			}
-			if i != spec.Intervals-1 {
-				r.core = nil // retain only the last window's core
-			}
-			results[i] = r
-		}
-	} else {
-		// Concurrent: this goroutine is the producer — it walks the program
-		// serially (the walker is inherently sequential) and feeds each
-		// window's checkpoint to a worker pool. Workers never share state:
-		// every window gets its own CoW snapshot and warm-state clones.
-		//
-		// Error semantics mirror the serial path deterministically: windows
-		// are produced in index order and every produced window runs to
-		// completion even after a failure elsewhere (an error only stops
-		// further production), so the earliest failure by window index is
-		// exactly the error the serial loop would have returned. Parent
-		// context cancellation is the exception — it aborts in-flight
-		// windows promptly (RunCtx polls) and wins error selection.
-		type windowJob struct {
-			idx int
-			cp  *checkpoint.Checkpoint
-		}
-		feed := make(chan windowJob)
-		errs := make([]error, spec.Intervals)
-		var stop atomic.Bool
-		var wg sync.WaitGroup
-		wg.Add(jobs)
-		for k := 0; k < jobs; k++ {
-			go func() {
-				defer wg.Done()
-				for jb := range feed {
-					r, err := runWindow(ctx, p, o, cfg, hcfg, spec, jb.idx, jb.cp)
-					if err != nil {
-						errs[jb.idx] = err
-						stop.Store(true)
-						continue
-					}
-					if jb.idx != spec.Intervals-1 {
-						r.core = nil
-					}
-					results[jb.idx] = r
-				}
-			}()
-		}
-		var prodErr error
-		for i := 0; i < spec.Intervals && !stop.Load() && ctx.Err() == nil; i++ {
-			t0 := time.Now()
-			if err := w.Advance(windowStart(i)); err != nil {
-				prodErr = err
-				break
-			}
-			cp := w.Checkpoint()
-			walkSeconds += time.Since(t0).Seconds()
-			feed <- windowJob{idx: i, cp: cp}
-		}
-		close(feed)
-		wg.Wait()
-		if ctx.Err() != nil {
+		}()
+		select {
+		case <-turn[k]:
+		case <-aborted:
+			return nil, errAborted
+		case <-ctx.Done():
 			return nil, context.Cause(ctx)
 		}
-		// Earliest window failure in index order; every window preceding a
-		// walker failure has already run, so window errors outrank prodErr.
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
+		t0 := time.Now()
+		if err := w.Advance(windowStart(k)); err != nil {
+			return nil, err
 		}
-		if prodErr != nil {
-			return nil, prodErr
+		cp := w.Checkpoint()
+		walkSeconds += time.Since(t0).Seconds()
+		if k+1 < len(turn) {
+			close(turn[k+1])
 		}
+
+		r, err = runWindow(ctx, p, o, cfg, hcfg, spec, k, cp)
+		if err != nil {
+			return nil, err
+		}
+		if k != spec.Intervals-1 {
+			r.core = nil // retain only the last window's core
+		}
+		return r, nil
+	}
+	idx := make([]int, spec.Intervals)
+	for k := range idx {
+		idx[k] = k
+	}
+	runs, err := runPool(idx, poolConfig[int]{Workers: max(o.Jobs, 1), Context: ctx}, window)
+	if err != nil {
+		return nil, err
 	}
 
 	// Aggregate in window-index order. The per-interval CPI sequence (and
 	// therefore every derived statistic) is independent of scheduling.
 	samp := &SampleStats{Spec: spec, IntervalCPI: make([]float64, 0, spec.Intervals)}
 	var cpuSeconds float64
-	for _, r := range results {
+	for k := 0; k < spec.Intervals; k++ {
+		r := runs[k]
 		samp.IntervalCPI = append(samp.IntervalCPI, float64(r.cycles)/float64(r.insts))
 		samp.DetailCycles += r.cycles
 		samp.DetailInstructions += r.insts
 		samp.WarmupInstructions += r.warmInsts
 		cpuSeconds += r.seconds
 	}
-	lastRun := results[spec.Intervals-1]
+	lastRun := runs[spec.Intervals-1]
 	last := lastRun.core
 	hostSeconds := time.Since(hostStart).Seconds()
 	cpuSeconds += walkSeconds

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -117,5 +118,36 @@ func TestSampledCancellation(t *testing.T) {
 		Context:         pre,
 	}); !errors.Is(err, cause) {
 		t.Errorf("pre-cancelled run returned %v, want the cancellation cause", err)
+	}
+}
+
+// TestSampledWalkerErrorSameAtAnyJobs: when the functional walk cannot
+// reach a window (the program halts first), every Jobs value reports the
+// serial run's error, and the earlier windows do not mask it.
+func TestSampledWalkerErrorSameAtAnyJobs(t *testing.T) {
+	const src = `
+  movi r1, 2000
+top:
+  addi r1, r1, -1
+  bne r1, r0, top
+  halt
+`
+	var errs []string
+	for _, jobs := range []int{0, 1, 4} {
+		_, err := spt.RunAssembly("short", src, spt.Options{
+			Scheme:          spt.SPTFull,
+			MaxInstructions: 16_000,
+			Sample:          spt.SampleSpec{Intervals: 8, Warmup: 100, Detail: 200},
+			Jobs:            jobs,
+		})
+		if err == nil || !strings.Contains(err.Error(), "halted") {
+			t.Fatalf("Jobs:%d: err = %v, want the walker's halted error", jobs, err)
+		}
+		errs = append(errs, err.Error())
+	}
+	for i, e := range errs[1:] {
+		if e != errs[0] {
+			t.Errorf("error differs across Jobs values:\n%q\n%q", errs[0], errs[i+1])
+		}
 	}
 }
