@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"spt"
+	"spt/internal/stats"
 )
 
 const benchBudget = 15_000
@@ -106,34 +107,63 @@ func BenchmarkFigure7Spectre(b *testing.B) { benchFigure7(b, spt.Spectre) }
 // grid. Both variants cover the same per-cell instruction region (skip +
 // budget); the full variant simulates all of it in detail for every cell,
 // the checkpointed variant executes the skip prefix functionally ONCE per
-// workload and shares the checkpoint across every scheme cell. The
-// "speedup-x" metric is the grid wall-clock ratio (CI floors it through
-// .github/perf-floors.txt), and the sanity check asserts both grids retire
-// the same detailed-region results.
+// workload and shares the checkpoint across every scheme cell. Each
+// iteration times ratioPairs interleaved (full, checkpointed) pairs,
+// alternating which grid runs first; the "speedup-x" metric is the median
+// per-pair wall-clock ratio (CI floors it through .github/perf-floors.txt),
+// so one pair disturbed by other load on the host does not move it.
 func BenchmarkFigure7Checkpointed(b *testing.B) {
 	const skip = 2 * benchBudget
 	subset := []string{"perlbench", "mcf", "xz", "chacha20"}
-	for i := 0; i < b.N; i++ {
-		fullStart := time.Now()
+	var fig *spt.Figure7
+	full := func() float64 {
+		start := time.Now()
 		if _, err := spt.RunFigure7(spt.Futuristic, spt.EvalOptions{
 			Budget: skip + benchBudget, Workloads: subset,
 		}); err != nil {
 			b.Fatal(err)
 		}
-		fullSec := time.Since(fullStart).Seconds()
-
-		ckptStart := time.Now()
-		fig, err := spt.RunFigure7(spt.Futuristic, spt.EvalOptions{
+		return time.Since(start).Seconds()
+	}
+	checkpointed := func() float64 {
+		start := time.Now()
+		var err error
+		if fig, err = spt.RunFigure7(spt.Futuristic, spt.EvalOptions{
 			Budget: benchBudget, Workloads: subset, Skip: skip,
-		})
-		if err != nil {
+		}); err != nil {
 			b.Fatal(err)
 		}
-		ckptSec := time.Since(ckptStart).Seconds()
-
-		b.ReportMetric(fullSec/ckptSec, "speedup-x")
-		b.ReportMetric(fig.MeanSpec[spt.SPTFull], "spt-norm-spec")
+		return time.Since(start).Seconds()
 	}
+	b.ReportMetric(medianPairRatio(b, full, checkpointed, nil), "speedup-x")
+	b.ReportMetric(fig.MeanSpec[spt.SPTFull], "spt-norm-spec")
+}
+
+// ratioPairs is how many interleaved pairs the wall-clock ratio benchmarks
+// time per iteration.
+const ratioPairs = 5
+
+// medianPairRatio times b.N x ratioPairs interleaved pairs of slow and
+// fast, alternating which side runs first, and returns the median of the
+// per-pair ratios slow/fast. Each side returns its own wall-clock seconds;
+// check, if non-nil, runs after every pair.
+func medianPairRatio(b *testing.B, slow, fast func() float64, check func()) float64 {
+	var ratios []float64
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < ratioPairs; k++ {
+			var s, f float64
+			if k%2 == 0 {
+				s, f = slow(), fast()
+			} else {
+				f, s = fast(), slow()
+			}
+			ratios = append(ratios, s/f)
+			if check != nil {
+				check()
+			}
+		}
+	}
+	return stats.Median(ratios)
 }
 
 // BenchmarkFigure7Sampled runs the same grid with the SMARTS estimator:
@@ -154,11 +184,12 @@ func BenchmarkFigure7Sampled(b *testing.B) {
 }
 
 // BenchmarkSampledWindows measures the parallel-window sampling driver:
-// the same sampled grid run twice, once with each cell's measured windows
-// strictly serial and once with eight windows in flight (cell-level
-// concurrency pinned to 1 both times, so the ratio isolates window
-// parallelism). The "speedup-x" metric is the wall-clock ratio — CI floors
-// it — and the sanity check asserts the estimates are identical, which is
+// the same sampled grid run with each cell's measured windows strictly
+// serial and with eight windows in flight (cell-level concurrency pinned to
+// 1 both times, so the ratio isolates window parallelism). Each iteration
+// times ratioPairs interleaved pairs, alternating which side runs first;
+// the "speedup-x" metric is the median per-pair wall-clock ratio — CI
+// floors it — and every pair asserts the estimates are identical, which is
 // the whole point of the deterministic window pool.
 func BenchmarkSampledWindows(b *testing.B) {
 	// Windows must dominate the serial checkpoint walker for parallelism to
@@ -175,24 +206,26 @@ func BenchmarkSampledWindows(b *testing.B) {
 			})
 		}
 	}
-	grid := func(windowJobs int) (float64, map[spt.Job]*spt.Result) {
+	var serial, par map[spt.Job]*spt.Result
+	grid := func(windowJobs int, out *map[spt.Job]*spt.Result) float64 {
 		start := time.Now()
 		res, err := spt.RunJobs(jobs, spt.EvalOptions{Jobs: 1, WindowJobs: windowJobs})
 		if err != nil {
 			b.Fatal(err)
 		}
-		return time.Since(start).Seconds(), res
+		*out = res
+		return time.Since(start).Seconds()
 	}
-	for i := 0; i < b.N; i++ {
-		serialSec, serial := grid(1)
-		parSec, par := grid(8)
+	same := func() {
 		for _, j := range jobs {
 			if serial[j].Cycles != par[j].Cycles {
 				b.Fatalf("%s: sampled estimate differs between WindowJobs 1 and 8", j)
 			}
 		}
-		b.ReportMetric(serialSec/parSec, "speedup-x")
 	}
+	b.ReportMetric(medianPairRatio(b,
+		func() float64 { return grid(1, &serial) },
+		func() float64 { return grid(8, &par) }, same), "speedup-x")
 }
 
 // BenchmarkSampledLongPrefix measures a fast-forward-dominated sampled

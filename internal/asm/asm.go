@@ -2,11 +2,18 @@ package asm
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
 	"spt/internal/isa"
 )
+
+// maxDataBytes caps the data image one source may declare: 4 MiB, 8x the
+// largest built-in workload's data. Past it, or past the top of the address
+// space, a data directive is an error, so a count such as
+// ".zero 0x7fffffffffffffff" cannot panic or allocate without bound.
+const maxDataBytes = 1 << 22
 
 // Assemble parses µRISC assembly text into a program. The syntax matches
 // the disassembler's output plus labels and directives:
@@ -34,7 +41,20 @@ func Assemble(name, src string) (*isa.Program, error) {
 		dataOpen   bool
 		dataStart  uint64
 		dataBytes  []byte
+		dataTotal  uint64 // bytes emitted into every section so far
 	)
+	// reserve admits n more data bytes at the cursor, or says why not.
+	reserve := func(n uint64) error {
+		if n > maxDataBytes-dataTotal {
+			return fmt.Errorf("data image exceeds %d bytes", maxDataBytes)
+		}
+		if n > math.MaxUint64-dataCursor {
+			return fmt.Errorf("data cursor %#x runs past the end of memory", dataCursor)
+		}
+		dataTotal += n
+		dataCursor += n
+		return nil
+	}
 	flushData := func() {
 		if dataOpen && len(dataBytes) > 0 {
 			b.Data(dataStart, dataBytes)
@@ -82,13 +102,17 @@ func Assemble(name, src string) (*isa.Program, error) {
 						return nil, fail("bad value %q: %v", f, err)
 					}
 					if fields[0] == ".byte" {
+						if err := reserve(1); err != nil {
+							return nil, fail("%v", err)
+						}
 						dataBytes = append(dataBytes, byte(v))
-						dataCursor++
 					} else {
+						if err := reserve(8); err != nil {
+							return nil, fail("%v", err)
+						}
 						for j := 0; j < 8; j++ {
 							dataBytes = append(dataBytes, byte(uint64(v)>>(8*j)))
 						}
-						dataCursor += 8
 					}
 				}
 			case ".zero":
@@ -102,8 +126,10 @@ func Assemble(name, src string) (*isa.Program, error) {
 				if err != nil || n < 0 {
 					return nil, fail("bad count %q", fields[1])
 				}
+				if err := reserve(uint64(n)); err != nil {
+					return nil, fail("%v", err)
+				}
 				dataBytes = append(dataBytes, make([]byte, n)...)
-				dataCursor += uint64(n)
 			case ".entry":
 				if len(fields) != 2 {
 					return nil, fail(".entry needs a label")
@@ -126,6 +152,9 @@ func Assemble(name, src string) (*isa.Program, error) {
 			label := strings.TrimSpace(line[:i])
 			if !isIdent(label) {
 				return nil, fail("bad label %q", label)
+			}
+			if _, dup := b.labels[label]; dup {
+				return nil, fail("duplicate label %q", label)
 			}
 			b.Label(label)
 			line = strings.TrimSpace(line[i+1:])

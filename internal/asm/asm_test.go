@@ -1,7 +1,10 @@
 package asm
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"spt/internal/emu"
@@ -199,11 +202,46 @@ func TestAssembleErrors(t *testing.T) {
 		"addi r1, r2",  // missing immediate
 		"movi r1, zzz", // bad immediate
 		"jalr r0, r1",  // jalr needs imm(base)
+		"r:r:",         // duplicate label (used to panic)
 	}
 	for _, src := range cases {
 		if _, err := Assemble("bad", src); err == nil {
 			t.Errorf("accepted invalid source %q", src)
 		}
+	}
+}
+
+// TestAssembleDataCap pins the data-image cap: a huge .zero count used to
+// panic (growslice: len out of range) or allocate gigabytes before failing,
+// and a cursor near the top of memory used to wrap around.
+func TestAssembleDataCap(t *testing.T) {
+	cases := []string{
+		".data 0x0\n.zero 0x7fffffffffffffff\nhalt",
+		".data 0x0\n.zero 0x7fffffff\nhalt",
+		".data 0x0\n.zero 0x200000\n.data 0x2000000\n.zero 0x200000\n.byte 1\nhalt",
+		".data 0xfffffffffffffffc\n.quad 1\nhalt",
+	}
+	var ms runtime.MemStats
+	for _, src := range cases {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		_, err := Assemble("big", src)
+		runtime.ReadMemStats(&ms)
+		if err == nil {
+			t.Errorf("accepted %q", src)
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), "asm: line ") {
+			t.Errorf("%q: error %q does not name the line", src, err)
+		}
+		if n := ms.TotalAlloc - before; n > 4*maxDataBytes {
+			t.Errorf("%q: allocated %d bytes before failing", src, n)
+		}
+	}
+	// The cap itself is reachable: exactly maxDataBytes of data assembles.
+	src := fmt.Sprintf(".data 0x0\n.zero %d\nhalt", maxDataBytes)
+	if p, err := Assemble("full", src); err != nil || len(p.Data[0].Bytes) != maxDataBytes {
+		t.Fatalf("a data image of exactly %d bytes: err %v", maxDataBytes, err)
 	}
 }
 

@@ -13,7 +13,9 @@
 package attack
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 
 	"spt/internal/isa"
 	"spt/internal/mem"
@@ -89,20 +91,9 @@ type Result struct {
 // the cache. The probe checks L1D, L2 and L3 residency (Flush+Reload-style
 // receivers see any level).
 func Run(prog *isa.Program, model pipeline.AttackModel, pol pipeline.Policy) (Result, error) {
-	cfg := pipeline.DefaultConfig()
-	cfg.Model = model
-	hier := mem.NewHierarchy(mem.DefaultHierarchyConfig())
-	core, err := pipeline.New(cfg, prog, hier, pol)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := core.Run(10_000_000, 100_000_000); err != nil {
-		return Result{}, err
-	}
-	if !core.Finished() {
-		return Result{}, fmt.Errorf("attack: victim did not finish")
-	}
-	return Probe(hier), nil
+	var res Result
+	err := simulate(prog, model, pol, nil, func(c *pipeline.Core) { res = Probe(c.Hier) })
+	return res, err
 }
 
 // Probe inspects the cache for resident probe lines.
@@ -127,22 +118,66 @@ func Probe(hier *mem.Hierarchy) Result {
 // its cycle. Identical traces across secret values mean the secret is
 // unobservable (Definition 1's observational-determinism reading).
 func ObservationTrace(prog *isa.Program, model pipeline.AttackModel, pol pipeline.Policy) ([]string, error) {
+	trace, _, err := Observe(prog, model, pol)
+	return trace, err
+}
+
+// Observe is ObservationTrace that also reports the deepest single squash
+// of the run (Stats.SquashDepth.Max), the fuzzing campaign's shape signal
+// for its reference cell.
+func Observe(prog *isa.Program, model pipeline.AttackModel, pol pipeline.Policy) ([]string, uint64, error) {
+	var trace []string
+	var maxSquash uint64
+	err := simulate(prog, model, pol, func(kind byte, cycle uint64, addr uint64) {
+		trace = append(trace, fmt.Sprintf("%c@%d:%#x", kind, cycle, addr))
+	}, func(c *pipeline.Core) { maxSquash = c.Stats.SquashDepth.Max })
+	if err != nil {
+		return nil, 0, err
+	}
+	return trace, maxSquash, nil
+}
+
+// ErrUnfinished reports a victim that used up its instruction budget
+// without retiring HALT.
+var ErrUnfinished = errors.New("attack: victim did not finish")
+
+// cores holds idle oracle simulators. Core.Reset returns a core to the
+// state a fresh build has, so reusing one is indistinguishable from
+// building a new core — but skips allocating and zeroing a whole memory
+// hierarchy, predictor and set of pipeline rings per run, which otherwise
+// dominates the small gadget simulations the oracle runs by the thousand.
+// sync.Pool keeps idle cores per P, so each pool worker effectively keeps
+// one.
+var cores sync.Pool
+
+// simulate runs prog to completion on a pooled core under the Table 1
+// machine with the given model and policy. observer, if non-nil, receives
+// the run's observable events; done reads the finished core before it goes
+// back to the pool.
+func simulate(prog *isa.Program, model pipeline.AttackModel, pol pipeline.Policy, observer func(kind byte, cycle uint64, addr uint64), done func(*pipeline.Core)) error {
 	cfg := pipeline.DefaultConfig()
 	cfg.Model = model
-	hier := mem.NewHierarchy(mem.DefaultHierarchyConfig())
-	core, err := pipeline.New(cfg, prog, hier, pol)
-	if err != nil {
-		return nil, err
+	core, _ := cores.Get().(*pipeline.Core)
+	if core == nil {
+		var err error
+		if core, err = pipeline.New(cfg, prog, mem.NewHierarchy(mem.DefaultHierarchyConfig()), pol); err != nil {
+			return err
+		}
+	} else if err := core.Reset(cfg, prog, pol); err != nil {
+		cores.Put(core)
+		return err
 	}
-	var trace []string
-	core.Observer = func(kind byte, cycle uint64, addr uint64) {
-		trace = append(trace, fmt.Sprintf("%c@%d:%#x", kind, cycle, addr))
-	}
+	defer func() {
+		core.Observer = nil // drop the caller's trace
+		cores.Put(core)
+	}()
+	core.Observer = observer
 	if err := core.Run(10_000_000, 100_000_000); err != nil {
-		return nil, err
+		return err
 	}
 	if !core.Finished() {
-		return nil, fmt.Errorf("attack: victim did not finish")
+		return ErrUnfinished
 	}
-	return trace, nil
+	done(core)
+	return nil
 }

@@ -1,13 +1,14 @@
 package fuzz
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"sort"
 	"strings"
 
+	"spt/internal/attack"
 	"spt/internal/isa"
-	"spt/internal/mem"
 	"spt/internal/pipeline"
 )
 
@@ -85,25 +86,14 @@ func BucketKey(prim Primitive, tx Transmitter, sh Shape) string {
 // callers can reuse it as the unsafe/futuristic A-side trace instead of
 // re-simulating that cell.
 func ReferenceObservation(prog *isa.Program) ([]string, Shape, error) {
-	cfg := pipeline.DefaultConfig()
-	cfg.Model = pipeline.Futuristic
-	hier := mem.NewHierarchy(mem.DefaultHierarchyConfig())
-	core, err := pipeline.New(cfg, prog, hier, nil)
+	trace, maxSquash, err := attack.Observe(prog, pipeline.Futuristic, nil)
+	if errors.Is(err, attack.ErrUnfinished) {
+		return nil, Shape{}, fmt.Errorf("fuzz: %s did not finish on the reference cell", prog.Name)
+	}
 	if err != nil {
 		return nil, Shape{}, err
 	}
-	var trace []string
-	core.Observer = func(kind byte, cycle uint64, addr uint64) {
-		trace = append(trace, fmt.Sprintf("%c@%d:%#x", kind, cycle, addr))
-	}
-	if err := core.Run(10_000_000, 100_000_000); err != nil {
-		return nil, Shape{}, err
-	}
-	if !core.Finished() {
-		return nil, Shape{}, fmt.Errorf("fuzz: %s did not finish on the reference cell", prog.Name)
-	}
-	sh := Shape{MaxSquash: core.Stats.SquashDepth.Max, Sig: TraceSignature(trace)}
-	return trace, sh, nil
+	return trace, Shape{MaxSquash: maxSquash, Sig: TraceSignature(trace)}, nil
 }
 
 // Coverage is the campaign's bucket map: how many cases landed in each

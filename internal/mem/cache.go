@@ -71,6 +71,13 @@ type Cache struct {
 	stamp     uint64
 	stats     CacheStats
 
+	// touched lists the sets filled since the last Reset or FlushAll, so
+	// Reset clears only those. Fill records a set when it installs into a
+	// zero-valued way 0: the first fill of an empty set always picks way 0
+	// (the first invalid way), and a filled line never returns to the zero
+	// value (Invalidate keeps its tag and stamp), so each set is listed once.
+	touched []int32
+
 	// OnFill, if non-nil, is called when a line is installed (with the line
 	// base address). OnEvict is called when a valid line is replaced or
 	// invalidated. The shadow L1 hooks these.
@@ -92,6 +99,7 @@ func NewCache(cfg CacheConfig) *Cache {
 		sets:    sets,
 		setMask: uint64(sets - 1),
 		lines:   make([]line, sets*cfg.Ways),
+		touched: make([]int32, 0, min(sets, 64)),
 	}
 	for s := cfg.LineBytes; s > 1; s >>= 1 {
 		c.lineShift++
@@ -99,7 +107,22 @@ func NewCache(cfg CacheConfig) *Cache {
 	for s := sets; s > 1; s >>= 1 {
 		c.setShift++
 	}
+	c.Reset()
 	return c
+}
+
+// Reset returns the cache to the state NewCache builds: every line zeroed,
+// the LRU stamp and counters at zero, and no hooks. It clears only the sets
+// filled since the last reset, so resetting a cache that ran a small program
+// costs far less than building a new one.
+func (c *Cache) Reset() {
+	for _, s := range c.touched {
+		clear(c.lines[int(s)*c.cfg.Ways : (int(s)+1)*c.cfg.Ways])
+	}
+	c.touched = c.touched[:0]
+	c.stamp = 0
+	c.stats = CacheStats{}
+	c.OnFill, c.OnEvict = nil, nil
 }
 
 // Config returns the cache's configuration.
@@ -219,6 +242,9 @@ func (c *Cache) Fill(addr uint64, state MESI) (victimAddr uint64, writeback bool
 		}
 	}
 	v := c.slot(set, victim)
+	if victim == 0 && *v == (line{}) {
+		c.touched = append(c.touched, int32(set))
+	}
 	if v.state != Invalid {
 		victimAddr = c.reconstructAddr(set, v.tag)
 		writeback = v.state == Modified
@@ -268,4 +294,5 @@ func (c *Cache) FlushAll() {
 		}
 		c.lines[i] = line{}
 	}
+	c.touched = c.touched[:0]
 }

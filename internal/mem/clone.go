@@ -1,9 +1,10 @@
 package mem
 
-// Clone returns a deep copy of the cache: geometry, line metadata, LRU
-// stamps, and counters. The OnFill/OnEvict hooks are deliberately NOT
-// copied — they are per-attachment state (the shadow L1 installs them when
-// a policy attaches to a core), not part of the warmable contents.
+// Clone returns a deep copy of the cache: geometry, line metadata (with the
+// list of filled sets Reset clears), LRU stamps, and counters. The
+// OnFill/OnEvict hooks are deliberately NOT copied — they are
+// per-attachment state (the shadow L1 installs them when a policy attaches
+// to a core), not part of the warmable contents.
 func (c *Cache) Clone() *Cache {
 	out := &Cache{
 		cfg:       c.cfg,
@@ -12,6 +13,7 @@ func (c *Cache) Clone() *Cache {
 		setShift:  c.setShift,
 		setMask:   c.setMask,
 		lines:     make([]line, len(c.lines)),
+		touched:   append(make([]int32, 0, cap(c.touched)), c.touched...),
 		stamp:     c.stamp,
 		stats:     c.stats,
 	}

@@ -69,9 +69,9 @@ type Hierarchy struct {
 	// are present after a fetch, which makes the repeated same-line fetch
 	// — the overwhelmingly common case, since superblocks fetch word by
 	// word through 16-instruction lines — a touch plus a latency constant
-	// with no tag scans or prefetch probes. Only AccessInstr and FlushAll
-	// mutate the L1I, so the memo cannot go stale in between; Clone drops
-	// it (struct literal), which only costs the first fetch after a
+	// with no tag scans or prefetch probes. Only AccessInstr, FlushAll and
+	// Reset mutate the L1I, so the memo cannot go stale in between; Clone
+	// drops it (struct literal), which only costs the first fetch after a
 	// restore.
 	iLine uint64
 	iSet  int
@@ -82,16 +82,34 @@ type Hierarchy struct {
 
 // NewHierarchy builds the memory system.
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
-	return &Hierarchy{
-		cfg:     cfg,
-		L1I:     NewCache(cfg.L1I),
-		L1D:     NewCache(cfg.L1D),
-		L2:      NewCache(cfg.L2),
-		L3:      NewCache(cfg.L3),
-		DTLB:    NewTLB(cfg.TLBEntries, cfg.PageBytes, cfg.PageWalkCycles),
-		mshr:    make([]mshrEntry, 0, cfg.MSHRs),
-		mshrMin: ^uint64(0),
+	h := &Hierarchy{
+		cfg:  cfg,
+		L1I:  NewCache(cfg.L1I),
+		L1D:  NewCache(cfg.L1D),
+		L2:   NewCache(cfg.L2),
+		L3:   NewCache(cfg.L3),
+		DTLB: NewTLB(cfg.TLBEntries, cfg.PageBytes, cfg.PageWalkCycles),
+		mshr: make([]mshrEntry, 0, cfg.MSHRs),
 	}
+	h.Reset()
+	return h
+}
+
+// Reset returns the hierarchy to the state NewHierarchy builds for its
+// configuration: every cache level and the TLB reset (see Cache.Reset), no
+// outstanding misses, no fetch-streak memo and zeroed counters. A pooled
+// simulator resets its hierarchy between runs instead of building a new one,
+// which for the 2 MB L3 alone would allocate and zero 32,768 line records.
+func (h *Hierarchy) Reset() {
+	h.L1I.Reset()
+	h.L1D.Reset()
+	h.L2.Reset()
+	h.L3.Reset()
+	h.DTLB.Reset()
+	h.mshr = h.mshr[:0]
+	h.mshrMin = ^uint64(0)
+	h.iLine, h.iSet, h.iWay = 0, 0, 0
+	h.Stats = HierarchyStats{}
 }
 
 type mshrEntry struct {

@@ -216,8 +216,8 @@ func (ld *DynInst) FwdLive() bool {
 
 // Stats aggregates core-level counters. Every field is a plain uint64 (or
 // an inline stats.Hist): the per-cycle loops increment them with ordinary
-// struct-field adds, and the stats registry built at construction only
-// holds pointers to them — zero overhead when hot, no allocation per event.
+// struct-field adds, and the stats registry only holds pointers to them —
+// zero overhead when hot, no allocation per event.
 type Stats struct {
 	Cycles  uint64
 	Retired uint64
@@ -419,17 +419,37 @@ type Core struct {
 	squashedThisCycle bool
 
 	// statReg is the gem5-style registry of every counter above plus the
-	// memory system's, predictors', and policy's. Built once in New; the
-	// cycle loop never touches it.
+	// memory system's, predictors', and policy's. Built on the first
+	// StatsRegistry call; the cycle loop never touches it.
 	statReg *stats.Registry
 }
 
 // New builds a core for prog with the given memory system and policy
 // (nil for the unsafe baseline).
 func New(cfg Config, prog *isa.Program, hier *mem.Hierarchy, pol Policy) (*Core, error) {
-	m := emu.NewMemory()
-	m.LoadSegments(prog.Data)
-	return newCore(cfg, prog, hier, pol, m, predictor.NewUnit(), prog.Entry)
+	if err := validate(cfg, prog); err != nil {
+		return nil, err
+	}
+	return newCore(cfg, prog, hier, pol, programMemory(prog), predictor.NewUnit(), prog.Entry), nil
+}
+
+// Reset reinitializes the core in place to run prog under cfg and pol. The
+// result equals New(cfg, prog, h, pol) with h a freshly built hierarchy of
+// c.Hier's configuration: the hierarchy and predictor are reset instead of
+// rebuilt, the ring buffers are reused (reallocated only when cfg resizes
+// them) and Observer and Tracer are cleared. On error the core is left
+// unchanged. The oracle pools cores through Reset, so a worker that runs
+// thousands of small simulations allocates its machine once.
+func (c *Core) Reset(cfg Config, prog *isa.Program, pol Policy) error {
+	if err := validate(cfg, prog); err != nil {
+		return err
+	}
+	if c.Hier != nil {
+		c.Hier.Reset()
+	}
+	c.Pred.Reset()
+	c.reset(cfg, prog, pol, programMemory(prog), prog.Entry)
+	return nil
 }
 
 // BootFromSnapshot builds a core that resumes from a functional snapshot
@@ -446,13 +466,13 @@ func BootFromSnapshot(cfg Config, prog *isa.Program, hier *mem.Hierarchy, pol Po
 	if !snap.Halted && snap.PC >= uint64(len(prog.Code)) {
 		return nil, fmt.Errorf("pipeline: snapshot pc %d out of range for %s (%d instructions)", snap.PC, prog.Name, len(prog.Code))
 	}
+	if err := validate(cfg, prog); err != nil {
+		return nil, err
+	}
 	if pred == nil {
 		pred = predictor.NewUnit()
 	}
-	c, err := newCore(cfg, prog, hier, pol, snap.NewMemory(), pred, snap.PC)
-	if err != nil {
-		return nil, err
-	}
+	c := newCore(cfg, prog, hier, pol, snap.NewMemory(), pred, snap.PC)
 	// Seed the architectural register values through the reset RAT (arch
 	// register r maps to physical register r; register 0 stays hardwired).
 	for r := 1; r < isa.NumRegs; r++ {
@@ -466,15 +486,54 @@ func BootFromSnapshot(cfg Config, prog *isa.Program, hier *mem.Hierarchy, pol Po
 	return c, nil
 }
 
-// newCore is the shared construction path behind New and BootFromSnapshot.
-func newCore(cfg Config, prog *isa.Program, hier *mem.Hierarchy, pol Policy, m *emu.Memory, pred *predictor.Unit, entryPC uint64) (*Core, error) {
+func validate(cfg Config, prog *isa.Program) error {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := prog.Validate(); err != nil {
-		return nil, err
+	return prog.Validate()
+}
+
+// programMemory returns a functional backing store holding prog's data.
+func programMemory(prog *isa.Program) *emu.Memory {
+	m := emu.NewMemory()
+	m.LoadSegments(prog.Data)
+	return m
+}
+
+// newCore is the shared construction path behind New and BootFromSnapshot:
+// it runs the same reset as Core.Reset on a core that owns nothing yet, so
+// a fresh core and a reset one cannot drift apart.
+func newCore(cfg Config, prog *isa.Program, hier *mem.Hierarchy, pol Policy, m *emu.Memory, pred *predictor.Unit, entryPC uint64) *Core {
+	c := &Core{Hier: hier, Pred: pred}
+	c.reset(cfg, prog, pol, m, entryPC)
+	return c
+}
+
+// reset writes the core's initial state, keeping Hier and Pred (already in
+// their initial state) and reusing the ring buffers' backing arrays. Every
+// field not set here is zeroed by the struct assignment, so a field added
+// to Core starts at its zero value on both paths.
+func (c *Core) reset(cfg Config, prog *isa.Program, pol Policy, m *emu.Memory, entryPC uint64) {
+	hier, pred := c.Hier, c.Pred
+	fetchBuf := zeroed(c.fetchBuf, cfg.FetchBufferSize)
+	prf := zeroed(c.prf, cfg.PhysRegs)
+	prfReady := zeroed(c.prfReady, cfg.PhysRegs)
+	rob := zeroed(c.rob, cfg.ROBSize)
+	lq := zeroed(c.lq, cfg.LQSize)
+	sq := zeroed(c.sq, cfg.SQSize)
+	aluBusyUntil := zeroed(c.aluBusyUntil, cfg.ALUs)
+	freeList := c.freeList[:0]
+	if cap(freeList) < cfg.PhysRegs {
+		freeList = make([]PhysReg, 0, cfg.PhysRegs)
 	}
-	c := &Core{
+	// Live entries never exceed RSSize; stale references linger at most
+	// until the next issue() compaction, bounded by one squash burst plus
+	// one rename group.
+	rsList := c.rsList[:0]
+	if n := 2*cfg.RSSize + cfg.RenameWidth; cap(rsList) < n {
+		rsList = make([]rsRef, 0, n)
+	}
+	*c = Core{
 		Cfg:          cfg,
 		Prog:         prog,
 		Mem:          m,
@@ -482,51 +541,58 @@ func newCore(cfg Config, prog *isa.Program, hier *mem.Hierarchy, pol Policy, m *
 		Pred:         pred,
 		Pol:          pol,
 		fetchPC:      entryPC,
-		fetchBuf:     make([]fetchEntry, cfg.FetchBufferSize),
-		prf:          make([]uint64, cfg.PhysRegs),
-		prfReady:     make([]bool, cfg.PhysRegs),
-		freeList:     make([]PhysReg, 0, cfg.PhysRegs),
-		rob:          make([]DynInst, cfg.ROBSize),
-		lq:           make([]*DynInst, cfg.LQSize),
-		sq:           make([]*DynInst, cfg.SQSize),
-		aluBusyUntil: make([]uint64, cfg.ALUs),
-		// Live entries never exceed RSSize; stale references linger at most
-		// until the next issue() compaction, bounded by one squash burst
-		// plus one rename group.
-		rsList: make([]rsRef, 0, 2*cfg.RSSize+cfg.RenameWidth),
+		fetchBuf:     fetchBuf,
+		prf:          prf,
+		prfReady:     prfReady,
+		freeList:     freeList,
+		rob:          rob,
+		lq:           lq,
+		sq:           sq,
+		aluBusyUntil: aluBusyUntil,
+		rsList:       rsList,
 	}
 	// Physical register 0 is the hardwired zero: always ready, never freed.
 	c.prfReady[0] = true
-	for r := 0; r < isa.NumRegs; r++ {
-		if r == 0 {
-			c.rat[r] = 0
-			continue
-		}
+	for r := 1; r < isa.NumRegs; r++ {
 		c.rat[r] = PhysReg(r)
 		c.prfReady[r] = true
 	}
 	for p := isa.NumRegs; p < cfg.PhysRegs; p++ {
 		c.freeList = append(c.freeList, PhysReg(p))
 	}
-	c.registerStats()
 	if pol != nil {
 		pol.Attach(c)
-		if sr, ok := pol.(StatsRegistrar); ok {
-			sr.RegisterStats(c.statReg)
-		}
 	}
-	return c, nil
+}
+
+// zeroed returns s resized to n zero elements, reusing its backing array
+// when it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // StatsRegistrar is an optional Policy (or component) extension: implementors
-// publish their counters into the core's registry at construction.
+// publish their counters into the core's registry.
 type StatsRegistrar interface {
 	RegisterStats(r *stats.Registry)
 }
 
 // StatsRegistry exposes the core's stats registry (e.g. for Result to
-// snapshot after the run).
-func (c *Core) StatsRegistry() *stats.Registry { return c.statReg }
+// snapshot after the run). It is built on the first call: the registry only
+// holds pointers to the live counters, so building it late dumps the same
+// values, and the many simulations that never read it (every oracle cell)
+// skip building it.
+func (c *Core) StatsRegistry() *stats.Registry {
+	if c.statReg == nil {
+		c.registerStats()
+	}
+	return c.statReg
+}
 
 // registerStats publishes every simulator counter into the registry, in a
 // fixed order so dumps are deterministic. Only simulation-derived values are
@@ -592,6 +658,9 @@ func (c *Core) registerStats() {
 		c.Hier.RegisterStats(r, perKilo)
 	}
 	c.Pred.RegisterStats(r)
+	if sr, ok := c.Pol.(StatsRegistrar); ok {
+		sr.RegisterStats(r)
+	}
 }
 
 type fetchEntry struct {

@@ -24,6 +24,9 @@ func NewLoopPredictor(entries int) *LoopPredictor {
 	return &LoopPredictor{entries: make([]loopEntry, entries), mask: uint64(entries - 1)}
 }
 
+// Reset forgets every learned loop.
+func (lp *LoopPredictor) Reset() { clear(lp.entries) }
+
 func (lp *LoopPredictor) entry(pc uint64) *loopEntry {
 	return &lp.entries[pc&lp.mask]
 }
@@ -89,6 +92,14 @@ func NewBTB(entries int) *BTB {
 	}
 }
 
+// Reset empties the BTB and zeroes its counters.
+func (b *BTB) Reset() {
+	clear(b.tags)
+	clear(b.targets)
+	clear(b.valid)
+	b.Stats = BTBStats{}
+}
+
 // Lookup returns the predicted target for pc.
 func (b *BTB) Lookup(pc uint64) (uint64, bool) {
 	b.Stats.Lookups++
@@ -119,6 +130,12 @@ type RAS struct {
 // NewRAS builds a return address stack with the given depth.
 func NewRAS(depth int) *RAS {
 	return &RAS{stack: make([]uint64, depth)}
+}
+
+// Reset empties the stack.
+func (r *RAS) Reset() {
+	clear(r.stack)
+	r.top = 0
 }
 
 // Push records a return address (on a predicted call).
@@ -178,6 +195,13 @@ func NewIndirect(entries int) *Indirect {
 		valid:   make([]bool, entries),
 		mask:    uint64(entries - 1),
 	}
+}
+
+// Reset forgets every recorded target.
+func (ip *Indirect) Reset() {
+	clear(ip.tags)
+	clear(ip.targets)
+	clear(ip.valid)
 }
 
 func (ip *Indirect) index(pc uint64, hist History) uint64 {

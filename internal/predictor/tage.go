@@ -65,7 +65,6 @@ func NewTAGE(baseEntries, taggedEntries int, histLens []int) *TAGE {
 	t := &TAGE{
 		base: make([]int8, baseEntries),
 		mask: uint64(baseEntries - 1),
-		rng:  0x2545F491,
 	}
 	for _, hl := range histLens {
 		t.tables = append(t.tables, &tageTable{
@@ -75,7 +74,19 @@ func NewTAGE(baseEntries, taggedEntries int, histLens []int) *TAGE {
 			tagBits: 10,
 		})
 	}
+	t.Reset()
 	return t
+}
+
+// Reset returns the predictor to the state NewTAGE builds: every counter
+// and tagged entry cleared, the allocation RNG reseeded, counters zeroed.
+func (t *TAGE) Reset() {
+	clear(t.base)
+	for _, tt := range t.tables {
+		clear(tt.entries)
+	}
+	t.rng = 0x2545F491
+	t.Stats = TAGEStats{}
 }
 
 // DefaultTAGE returns the configuration used by the simulated machine:

@@ -38,6 +38,18 @@ func NewUnit() *Unit {
 	}
 }
 
+// Reset returns the front end to the state NewUnit builds — every table
+// cold, empty history, zeroed counters — reusing its tables.
+func (u *Unit) Reset() {
+	u.Tage.Reset()
+	u.Loop.Reset()
+	u.Btb.Reset()
+	u.Ras.Reset()
+	u.Ind.Reset()
+	u.Hist = History{}
+	u.Stats = UnitStats{}
+}
+
 // Checkpoint is the per-branch snapshot needed to look up, train, and — on
 // a squash — repair the front end.
 type Checkpoint struct {
