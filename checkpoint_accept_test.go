@@ -6,6 +6,7 @@ package spt_test
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"spt"
@@ -121,14 +122,23 @@ func TestSampledAccuracy(t *testing.T) {
 
 // TestSampleSpecValidation pins the option-combination errors.
 func TestSampleSpecValidation(t *testing.T) {
-	bad := []spt.Options{
-		{Sample: spt.SampleSpec{Intervals: 2}, SkipInstructions: 100},                            // mutually exclusive
-		{Sample: spt.SampleSpec{Intervals: 2}, WarmupInstructions: 100},                          // sampled has its own warmup
-		{Sample: spt.SampleSpec{Intervals: 4, Warmup: 900, Detail: 200}, MaxInstructions: 4_000}, // window > interval
+	const tooLong = "exceeds the interval length"
+	bad := []struct {
+		o    spt.Options
+		want string // error substring; "" accepts any error
+	}{
+		{spt.Options{Sample: spt.SampleSpec{Intervals: 2}, SkipInstructions: 100}, ""},   // mutually exclusive
+		{spt.Options{Sample: spt.SampleSpec{Intervals: 2}, WarmupInstructions: 100}, ""}, // sampled has its own warmup
+		{spt.Options{Sample: spt.SampleSpec{Intervals: 4, Warmup: 900, Detail: 200}, MaxInstructions: 4_000}, tooLong},
+		// Warmup+Detail wraps around to 0: the window must still be refused.
+		{spt.Options{Sample: spt.SampleSpec{Intervals: 1, Warmup: math.MaxUint64, Detail: 1}, MaxInstructions: 20_000}, tooLong},
 	}
-	for i, o := range bad {
-		if _, err := spt.Run("gcc", o); err == nil {
+	for i, c := range bad {
+		_, err := spt.Run("gcc", c.o)
+		if err == nil {
 			t.Errorf("case %d: invalid sample options accepted", i)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("case %d: error %q, want it to mention %q", i, err, c.want)
 		}
 	}
 }

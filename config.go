@@ -141,10 +141,6 @@ type Options struct {
 	// Default: effectively unbounded (the instruction budget stops the
 	// run).
 	WorkloadIters int64
-	// TrackInsts enables the untaint-event breakdown and per-cycle
-	// histogram collection in the result (always on for SPT schemes; this
-	// flag mirrors the artifact's --track-insts).
-	TrackInsts bool
 
 	// SkipInstructions fast-forwards this many instructions on the
 	// functional emulator — warming caches, the TLB, and the branch

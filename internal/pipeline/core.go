@@ -350,14 +350,12 @@ type Core struct {
 	cycle uint64
 	seq   uint64
 
-	// Fetch. The decoupled fetch buffer is a fixed-capacity ring of inline
-	// fetchEntry values (no per-instruction allocation).
+	// Fetch. The decoupled fetch buffer holds inline fetchEntry values.
 	fetchPC       uint64
 	fetchStallTil uint64
-	fetchBuf      []fetchEntry // cap Cfg.FetchBufferSize
-	fbHead, fbLen int
-	halted        bool // HALT fetched (stop fetching); sim ends when it retires
-	finished      bool // HALT retired
+	fb            ring[fetchEntry] // cap Cfg.FetchBufferSize
+	halted        bool             // HALT fetched (stop fetching); sim ends when it retires
+	finished      bool             // HALT retired
 
 	// Rename.
 	rat      [isa.NumRegs]PhysReg
@@ -365,17 +363,13 @@ type Core struct {
 	prf      []uint64
 	prfReady []bool
 
-	// Windows. The ROB is a fixed-capacity ring of inline DynInst values in
-	// program order; a slot is recycled once its instruction retires or is
-	// squashed, so the steady-state cycle loop allocates nothing. LQ/SQ are
-	// rings of pointers into the ROB ring (stable while the instruction is
-	// in flight).
-	rob             []DynInst // cap Cfg.ROBSize
-	robHead, robLen int
-	lq              []*DynInst // cap Cfg.LQSize
-	lqHead, lqLen   int
-	sq              []*DynInst // cap Cfg.SQSize
-	sqHead, sqLen   int
+	// Windows. The ROB holds inline DynInst values in program order; a slot
+	// is recycled once its instruction retires or is squashed. LQ/SQ hold
+	// pointers into the ROB ring (stable while the instruction is in
+	// flight).
+	rob ring[DynInst]  // cap Cfg.ROBSize
+	lq  ring[*DynInst] // cap Cfg.LQSize
+	sq  ring[*DynInst] // cap Cfg.SQSize
 
 	// rsCount tracks occupied RS slots (dispatched, not yet issued).
 	rsCount int
@@ -399,18 +393,14 @@ type Core struct {
 	memIncomplete int
 	violPending   int
 
-	// Monotone prefix-skip indexes: the number of leading entries of each
-	// ring that their per-cycle scan can never act on again. Each skipped
-	// prefix only grows while the ring is stable; popping the head
-	// decrements the index and a squash clamps it to the new length, so
-	// scan order (and therefore every observable effect) is unchanged.
-	execSkip   int // ROB prefix: Done or memory (completeExecution)
-	cfSkip     int // ROB prefix: resolved or not control flow (resolveBranches)
-	vpSkip     int // ROB prefix: already at the visibility point (updateVP)
-	lqMemSkip  int // LQ prefix: access started or violation pending (memStage)
-	lqDoneSkip int // LQ prefix: load complete (completeExecution)
-	sqMemSkip  int // SQ prefix: translated and violation-checked (memStage)
-	sqDoneSkip int // SQ prefix: store complete (completeExecution)
+	// Monotone prefix-skip indexes: the number of leading ROB entries that
+	// a per-cycle scan can never act on again. Each skipped prefix only
+	// grows while the ROB is stable; popping the head decrements the index
+	// and a squash clamps it to the new length, so scan order (and
+	// therefore every observable effect) is unchanged.
+	execSkip int // Done or memory (completeExecution)
+	cfSkip   int // resolved or not control flow (resolveBranches)
+	vpSkip   int // already at the visibility point (updateVP)
 
 	// Execution resources.
 	aluBusyUntil []uint64
@@ -515,12 +505,13 @@ func newCore(cfg Config, prog *isa.Program, hier *mem.Hierarchy, pol Policy, m *
 // to Core starts at its zero value on both paths.
 func (c *Core) reset(cfg Config, prog *isa.Program, pol Policy, m *emu.Memory, entryPC uint64) {
 	hier, pred := c.Hier, c.Pred
-	fetchBuf := zeroed(c.fetchBuf, cfg.FetchBufferSize)
+	fb, rob, lq, sq := c.fb, c.rob, c.lq, c.sq
+	fb.reset(cfg.FetchBufferSize)
+	rob.reset(cfg.ROBSize)
+	lq.reset(cfg.LQSize)
+	sq.reset(cfg.SQSize)
 	prf := zeroed(c.prf, cfg.PhysRegs)
 	prfReady := zeroed(c.prfReady, cfg.PhysRegs)
-	rob := zeroed(c.rob, cfg.ROBSize)
-	lq := zeroed(c.lq, cfg.LQSize)
-	sq := zeroed(c.sq, cfg.SQSize)
 	aluBusyUntil := zeroed(c.aluBusyUntil, cfg.ALUs)
 	freeList := c.freeList[:0]
 	if cap(freeList) < cfg.PhysRegs {
@@ -541,7 +532,7 @@ func (c *Core) reset(cfg Config, prog *isa.Program, pol Policy, m *emu.Memory, e
 		Pred:         pred,
 		Pol:          pol,
 		fetchPC:      entryPC,
-		fetchBuf:     fetchBuf,
+		fb:           fb,
 		prf:          prf,
 		prfReady:     prfReady,
 		freeList:     freeList,
@@ -680,17 +671,6 @@ func (c *Core) Cycle() uint64 { return c.cycle }
 // Finished reports whether the program's HALT has retired.
 func (c *Core) Finished() bool { return c.finished }
 
-// robAt returns the i-th oldest in-flight instruction (0 = head). The
-// returned pointer is stable while the instruction is in flight; the slot
-// is recycled after retirement or squash.
-func (c *Core) robAt(i int) *DynInst {
-	j := c.robHead + i
-	if j >= len(c.rob) {
-		j -= len(c.rob)
-	}
-	return &c.rob[j]
-}
-
 // rsRef is a seq-validated reference to a reservation-station entry. The
 // pointer targets a ROB ring slot; the reference is live only while the
 // slot still holds the recorded sequence number and the instruction is
@@ -700,23 +680,11 @@ type rsRef struct {
 	seq uint64
 }
 
-// robPush claims and zeroes the ring slot behind the youngest instruction.
-// The caller must have checked robLen < Cfg.ROBSize.
-func (c *Core) robPush() *DynInst {
-	di := c.robAt(c.robLen)
-	*di = DynInst{}
-	c.robLen++
-	return di
-}
-
-// robPopHead releases the oldest slot. The popped entry stays readable
-// until rename recycles the slot (at least a full ROB wrap later).
+// robPopHead retires the oldest ROB slot and shifts the ROB skip indexes
+// with it. The popped entry stays readable until rename recycles the slot
+// (at least a full ROB wrap later).
 func (c *Core) robPopHead() {
-	c.robHead++
-	if c.robHead == len(c.rob) {
-		c.robHead = 0
-	}
-	c.robLen--
+	c.rob.popHead()
 	if c.execSkip > 0 {
 		c.execSkip--
 	}
@@ -728,154 +696,29 @@ func (c *Core) robPopHead() {
 	}
 }
 
-func (c *Core) lqAt(i int) *DynInst {
-	j := c.lqHead + i
-	if j >= len(c.lq) {
-		j -= len(c.lq)
-	}
-	return c.lq[j]
-}
-
-func (c *Core) lqPush(di *DynInst) {
-	j := c.lqHead + c.lqLen
-	if j >= len(c.lq) {
-		j -= len(c.lq)
-	}
-	c.lq[j] = di
-	c.lqLen++
-}
-
-func (c *Core) lqPopHead() {
-	c.lq[c.lqHead] = nil
-	c.lqHead++
-	if c.lqHead == len(c.lq) {
-		c.lqHead = 0
-	}
-	c.lqLen--
-	if c.lqMemSkip > 0 {
-		c.lqMemSkip--
-	}
-	if c.lqDoneSkip > 0 {
-		c.lqDoneSkip--
-	}
-}
-
-func (c *Core) sqAt(i int) *DynInst {
-	j := c.sqHead + i
-	if j >= len(c.sq) {
-		j -= len(c.sq)
-	}
-	return c.sq[j]
-}
-
-func (c *Core) sqPush(di *DynInst) {
-	j := c.sqHead + c.sqLen
-	if j >= len(c.sq) {
-		j -= len(c.sq)
-	}
-	c.sq[j] = di
-	c.sqLen++
-}
-
-func (c *Core) sqPopHead() {
-	c.sq[c.sqHead] = nil
-	c.sqHead++
-	if c.sqHead == len(c.sq) {
-		c.sqHead = 0
-	}
-	c.sqLen--
-	if c.sqMemSkip > 0 {
-		c.sqMemSkip--
-	}
-	if c.sqDoneSkip > 0 {
-		c.sqDoneSkip--
-	}
-}
-
 // ROBLen reports the number of in-flight instructions; ROBAt indexes them
 // oldest first (0 = next to retire). Policies iterate the window with these
 // instead of a materialized slice so the steady-state loop stays
 // allocation-free.
-func (c *Core) ROBLen() int          { return c.robLen }
-func (c *Core) ROBAt(i int) *DynInst { return c.robAt(i) }
+func (c *Core) ROBLen() int          { return c.rob.n }
+func (c *Core) ROBAt(i int) *DynInst { return c.rob.at(i) }
 
 // ROBWindow returns the in-flight window, oldest first, as the ring's two
 // contiguous segments (the second is empty until the ring wraps). Per-cycle
 // policy scans range over these directly, avoiding per-index ring
 // arithmetic; iterating older then younger visits exactly ROBAt(0..len-1).
-func (c *Core) ROBWindow() (older, younger []DynInst) {
-	end := c.robHead + c.robLen
-	if end <= len(c.rob) {
-		return c.rob[c.robHead:end], nil
-	}
-	return c.rob[c.robHead:], c.rob[:end-len(c.rob)]
-}
+func (c *Core) ROBWindow() (older, younger []DynInst) { return c.rob.from(0) }
 
 // LQLen/LQAt and SQLen/SQAt expose the memory queues, oldest first.
-func (c *Core) LQLen() int          { return c.lqLen }
-func (c *Core) LQAt(i int) *DynInst { return c.lqAt(i) }
-func (c *Core) SQLen() int          { return c.sqLen }
-func (c *Core) SQAt(i int) *DynInst { return c.sqAt(i) }
-
-// robWindowFrom, lqWindowFrom, and sqWindowFrom return the ring entries
-// from logical index i (oldest = 0) to the tail as up to two contiguous
-// segments, for the per-cycle scans that resume past a skipped prefix.
-func (c *Core) robWindowFrom(i int) (a, b []DynInst) {
-	n := len(c.rob)
-	j := c.robHead + i
-	end := c.robHead + c.robLen
-	if j >= n {
-		return c.rob[j-n : end-n], nil
-	}
-	if end <= n {
-		return c.rob[j:end], nil
-	}
-	return c.rob[j:], c.rob[:end-n]
-}
-
-func (c *Core) lqWindowFrom(i int) (a, b []*DynInst) {
-	n := len(c.lq)
-	j := c.lqHead + i
-	end := c.lqHead + c.lqLen
-	if j >= n {
-		return c.lq[j-n : end-n], nil
-	}
-	if end <= n {
-		return c.lq[j:end], nil
-	}
-	return c.lq[j:], c.lq[:end-n]
-}
-
-func (c *Core) sqWindowFrom(i int) (a, b []*DynInst) {
-	n := len(c.sq)
-	j := c.sqHead + i
-	end := c.sqHead + c.sqLen
-	if j >= n {
-		return c.sq[j-n : end-n], nil
-	}
-	if end <= n {
-		return c.sq[j:end], nil
-	}
-	return c.sq[j:], c.sq[:end-n]
-}
+func (c *Core) LQLen() int          { return c.lq.n }
+func (c *Core) LQAt(i int) *DynInst { return *c.lq.at(i) }
+func (c *Core) SQLen() int          { return c.sq.n }
+func (c *Core) SQAt(i int) *DynInst { return *c.sq.at(i) }
 
 // LQWindow and SQWindow return the memory queues, oldest first, as their
 // two contiguous ring segments (see ROBWindow).
-func (c *Core) LQWindow() (older, younger []*DynInst) {
-	end := c.lqHead + c.lqLen
-	if end <= len(c.lq) {
-		return c.lq[c.lqHead:end], nil
-	}
-	return c.lq[c.lqHead:], c.lq[:end-len(c.lq)]
-}
-
-func (c *Core) SQWindow() (older, younger []*DynInst) {
-	end := c.sqHead + c.sqLen
-	if end <= len(c.sq) {
-		return c.sq[c.sqHead:end], nil
-	}
-	return c.sq[c.sqHead:], c.sq[:end-len(c.sq)]
-}
+func (c *Core) LQWindow() (older, younger []*DynInst) { return c.lq.from(0) }
+func (c *Core) SQWindow() (older, younger []*DynInst) { return c.sq.from(0) }
 
 // PhysRegCount reports the size of the physical register file.
 func (c *Core) PhysRegCount() int { return c.Cfg.PhysRegs }
@@ -950,7 +793,7 @@ func (c *Core) RunCtx(ctx context.Context, maxInstructions, maxCycles uint64) er
 			lastRetired = c.Stats.Retired
 			lastProgress = c.cycle
 		} else if c.cycle-lastProgress > 200_000 {
-			return fmt.Errorf("pipeline: livelock at cycle %d (pc=%d, rob=%d)", c.cycle, c.fetchPC, c.robLen)
+			return fmt.Errorf("pipeline: livelock at cycle %d (pc=%d, rob=%d)", c.cycle, c.fetchPC, c.rob.n)
 		}
 	}
 	return nil

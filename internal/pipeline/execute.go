@@ -162,15 +162,15 @@ func (c *Core) val(p PhysReg) uint64 {
 // the prefix of entries it can never act on again (done, or handled by the
 // memory queues below).
 func (c *Core) completeExecution() {
-	for c.execSkip < c.robLen {
-		di := c.robAt(c.execSkip)
+	for c.execSkip < c.rob.n {
+		di := c.rob.at(c.execSkip)
 		if !di.Done && !di.IsLd && !di.IsSt {
 			break
 		}
 		c.execSkip++
 	}
 	outstanding := c.execOutstanding
-	robA, robB := c.robWindowFrom(c.execSkip)
+	robA, robB := c.rob.from(c.execSkip)
 robScan:
 	for _, win := range [2][]DynInst{robA, robB} {
 		for i := range win {
@@ -197,10 +197,7 @@ robScan:
 		}
 	}
 	// Loads complete when their memory access finishes.
-	for c.lqDoneSkip < c.lqLen && c.lqAt(c.lqDoneSkip).Done {
-		c.lqDoneSkip++
-	}
-	lqA, lqB := c.lqWindowFrom(c.lqDoneSkip)
+	lqA, lqB := c.lq.from(0)
 	for _, win := range [2][]*DynInst{lqA, lqB} {
 		for _, di := range win {
 			if !di.MemIssued || di.Done || di.DoneCycle > c.cycle {
@@ -221,10 +218,7 @@ robScan:
 		}
 	}
 	// Stores complete when translated and their data is ready.
-	for c.sqDoneSkip < c.sqLen && c.sqAt(c.sqDoneSkip).Done {
-		c.sqDoneSkip++
-	}
-	sqA, sqB := c.sqWindowFrom(c.sqDoneSkip)
+	sqA, sqB := c.sq.from(0)
 	for _, win := range [2][]*DynInst{sqA, sqB} {
 		for _, di := range win {
 			if di.Done || !di.MemIssued || di.DoneCycle > c.cycle {
@@ -248,15 +242,15 @@ robScan:
 // squashes younger instructions and redirects fetch (one squash per cycle).
 // The scan is skipped entirely on cycles with no unresolved control flow.
 func (c *Core) resolveBranches() {
-	for c.cfSkip < c.robLen {
-		di := c.robAt(c.cfSkip)
+	for c.cfSkip < c.rob.n {
+		di := c.rob.at(c.cfSkip)
 		if di.IsCF && !di.Resolved {
 			break
 		}
 		c.cfSkip++
 	}
 	pending := c.cfUnresolved
-	cfA, cfB := c.robWindowFrom(c.cfSkip)
+	cfA, cfB := c.rob.from(c.cfSkip)
 	for _, win := range [2][]DynInst{cfA, cfB} {
 		if pending == 0 {
 			break

@@ -2,34 +2,6 @@ package pipeline
 
 import "spt/internal/isa"
 
-// fbAt returns the i-th oldest fetch-buffer entry (0 = next to rename).
-// Entries live in a fixed ring; a popped slot stays readable until fetch
-// pushes into it again, which cannot happen before the next fetch stage.
-func (c *Core) fbAt(i int) *fetchEntry {
-	j := c.fbHead + i
-	if j >= len(c.fetchBuf) {
-		j -= len(c.fetchBuf)
-	}
-	return &c.fetchBuf[j]
-}
-
-// fbPush claims and zeroes the ring slot behind the youngest entry. The
-// caller must have checked fbLen < Cfg.FetchBufferSize.
-func (c *Core) fbPush() *fetchEntry {
-	fe := c.fbAt(c.fbLen)
-	*fe = fetchEntry{}
-	c.fbLen++
-	return fe
-}
-
-func (c *Core) fbPopHead() {
-	c.fbHead++
-	if c.fbHead == len(c.fetchBuf) {
-		c.fbHead = 0
-	}
-	c.fbLen--
-}
-
 // fetch fills the decoupled fetch buffer along the predicted path. One
 // I-cache access covers a fetch group; a group ends at a predicted-taken
 // control transfer or an I-cache line boundary.
@@ -37,7 +9,7 @@ func (c *Core) fetch() {
 	if c.halted || c.cycle < c.fetchStallTil {
 		return
 	}
-	if c.fbLen >= c.Cfg.FetchBufferSize {
+	if c.fb.n >= c.Cfg.FetchBufferSize {
 		return
 	}
 	// Instruction storage is byte-addressed through the encoded form.
@@ -51,7 +23,7 @@ func (c *Core) fetch() {
 	}
 	lineBase := fetchAddr / lineBytes
 
-	for n := 0; n < c.Cfg.FetchWidth && c.fbLen < c.Cfg.FetchBufferSize; n++ {
+	for n := 0; n < c.Cfg.FetchWidth && c.fb.n < c.Cfg.FetchBufferSize; n++ {
 		pc := c.fetchPC
 		if pc*isa.WordSize/lineBytes != lineBase {
 			break // crossed into the next I-cache line
@@ -64,7 +36,7 @@ func (c *Core) fetch() {
 			// guaranteed to be squashed (a correct program halts).
 			ins = isa.Instruction{Op: isa.NOP}
 		}
-		fe := c.fbPush()
+		fe := c.fb.push()
 		fe.pc = pc
 		fe.ins = ins
 		fe.readyCycle = done + c.Cfg.FrontendDepth
@@ -110,7 +82,7 @@ func (c *Core) fetch() {
 
 // redirect points fetch at pc and drops everything in the front end.
 func (c *Core) redirect(pc uint64) {
-	c.fbHead, c.fbLen = 0, 0
+	c.fb.n = 0
 	c.fetchPC = pc
 	c.halted = false
 	// One bubble for the redirect itself; the refilled instructions then

@@ -34,8 +34,8 @@ func (c *Core) CheckInvariants() error {
 	// In-flight destinations are disjoint from the RAT-committed view only
 	// through OldDst chains; each in-flight Dst must be unique and not
 	// free.
-	for i := 0; i < c.robLen; i++ {
-		di := c.robAt(i)
+	for i := 0; i < c.rob.n; i++ {
+		di := c.rob.at(i)
 		if di.Dst == NoReg {
 			continue
 		}
@@ -63,8 +63,8 @@ func (c *Core) CheckInvariants() error {
 	for r := 1; r < len(c.rat); r++ {
 		owned[c.rat[r]] = true
 	}
-	for i := 0; i < c.robLen; i++ {
-		di := c.robAt(i)
+	for i := 0; i < c.rob.n; i++ {
+		di := c.rob.at(i)
 		if di.Dst != NoReg {
 			owned[di.Dst] = true
 		}
@@ -82,24 +82,24 @@ func (c *Core) CheckInvariants() error {
 	}
 
 	// Occupancy bounds: the rings must never exceed their configured
-	// capacities (the slice-queue representation could silently grow).
-	if c.robLen > c.Cfg.ROBSize {
-		return fmt.Errorf("invariant: ROB occupancy %d exceeds capacity %d", c.robLen, c.Cfg.ROBSize)
+	// capacities.
+	if c.rob.n > c.Cfg.ROBSize {
+		return fmt.Errorf("invariant: ROB occupancy %d exceeds capacity %d", c.rob.n, c.Cfg.ROBSize)
 	}
-	if c.lqLen > c.Cfg.LQSize {
-		return fmt.Errorf("invariant: LQ occupancy %d exceeds capacity %d", c.lqLen, c.Cfg.LQSize)
+	if c.lq.n > c.Cfg.LQSize {
+		return fmt.Errorf("invariant: LQ occupancy %d exceeds capacity %d", c.lq.n, c.Cfg.LQSize)
 	}
-	if c.sqLen > c.Cfg.SQSize {
-		return fmt.Errorf("invariant: SQ occupancy %d exceeds capacity %d", c.sqLen, c.Cfg.SQSize)
+	if c.sq.n > c.Cfg.SQSize {
+		return fmt.Errorf("invariant: SQ occupancy %d exceeds capacity %d", c.sq.n, c.Cfg.SQSize)
 	}
-	if c.fbLen > c.Cfg.FetchBufferSize {
-		return fmt.Errorf("invariant: fetch buffer occupancy %d exceeds capacity %d", c.fbLen, c.Cfg.FetchBufferSize)
+	if c.fb.n > c.Cfg.FetchBufferSize {
+		return fmt.Errorf("invariant: fetch buffer occupancy %d exceeds capacity %d", c.fb.n, c.Cfg.FetchBufferSize)
 	}
 
 	// Queue ordering and membership.
 	var lastSeq uint64
-	for i := 0; i < c.robLen; i++ {
-		di := c.robAt(i)
+	for i := 0; i < c.rob.n; i++ {
+		di := c.rob.at(i)
 		if i > 0 && di.Seq <= lastSeq {
 			return fmt.Errorf("invariant: ROB out of order at %d", i)
 		}
@@ -109,28 +109,28 @@ func (c *Core) CheckInvariants() error {
 		}
 	}
 	li, si := 0, 0
-	for i := 0; i < c.robLen; i++ {
-		di := c.robAt(i)
+	for i := 0; i < c.rob.n; i++ {
+		di := c.rob.at(i)
 		if di.Ins.IsLoad() {
-			if li >= c.lqLen || c.lqAt(li) != di {
+			if li >= c.lq.n || *c.lq.at(li) != di {
 				return fmt.Errorf("invariant: LQ does not mirror ROB loads at seq %d", di.Seq)
 			}
 			li++
 		}
 		if di.Ins.IsStore() {
-			if si >= c.sqLen || c.sqAt(si) != di {
+			if si >= c.sq.n || *c.sq.at(si) != di {
 				return fmt.Errorf("invariant: SQ does not mirror ROB stores at seq %d", di.Seq)
 			}
 			si++
 		}
 	}
-	if li != c.lqLen || si != c.sqLen {
-		return fmt.Errorf("invariant: stale LQ/SQ entries (%d/%d extra)", c.lqLen-li, c.sqLen-si)
+	if li != c.lq.n || si != c.sq.n {
+		return fmt.Errorf("invariant: stale LQ/SQ entries (%d/%d extra)", c.lq.n-li, c.sq.n-si)
 	}
 
 	// Cached decode classification must match the opcode.
-	for i := 0; i < c.robLen; i++ {
-		di := c.robAt(i)
+	for i := 0; i < c.rob.n; i++ {
+		di := c.rob.at(i)
 		if di.IsLd != di.Ins.IsLoad() || di.IsSt != di.Ins.IsStore() || di.MemSz != uint64(di.Ins.MemSize()) {
 			return fmt.Errorf("invariant: cached decode flags stale at seq %d", di.Seq)
 		}
@@ -139,8 +139,8 @@ func (c *Core) CheckInvariants() error {
 	// Scan-bounding counters: each must equal an explicit recount, since
 	// the hot loops trust them to terminate scans early.
 	rs, cf, eo, mi, vp := 0, 0, 0, 0, 0
-	for i := 0; i < c.robLen; i++ {
-		di := c.robAt(i)
+	for i := 0; i < c.rob.n; i++ {
+		di := c.rob.at(i)
 		if di.Dispatched && !di.Issued {
 			rs++
 		}
@@ -186,41 +186,23 @@ func (c *Core) CheckInvariants() error {
 		return fmt.Errorf("invariant: rsList holds %d live entries, rsCount %d", live, c.rsCount)
 	}
 
-	// Prefix-skip indexes: every skipped entry must satisfy its scan's
+	// ROB prefix-skip indexes: every skipped entry must satisfy its scan's
 	// "never again actionable" condition.
-	type skip struct {
+	checks := []struct {
 		name string
 		idx  int
-		max  int
-		ok   func(i int) bool
-	}
-	checks := []skip{
-		{"execSkip", c.execSkip, c.robLen, func(i int) bool {
-			di := c.robAt(i)
-			return di.Done || di.IsLd || di.IsSt
-		}},
-		{"cfSkip", c.cfSkip, c.robLen, func(i int) bool {
-			di := c.robAt(i)
-			return !di.IsCF || di.Resolved
-		}},
-		{"vpSkip", c.vpSkip, c.robLen, func(i int) bool { return c.robAt(i).AtVP }},
-		{"lqMemSkip", c.lqMemSkip, c.lqLen, func(i int) bool {
-			ld := c.lqAt(i)
-			return ld.MemIssued || ld.Violation
-		}},
-		{"lqDoneSkip", c.lqDoneSkip, c.lqLen, func(i int) bool { return c.lqAt(i).Done }},
-		{"sqMemSkip", c.sqMemSkip, c.sqLen, func(i int) bool {
-			st := c.sqAt(i)
-			return st.violCheck && st.MemIssued
-		}},
-		{"sqDoneSkip", c.sqDoneSkip, c.sqLen, func(i int) bool { return c.sqAt(i).Done }},
+		ok   func(di *DynInst) bool
+	}{
+		{"execSkip", c.execSkip, func(di *DynInst) bool { return di.Done || di.IsLd || di.IsSt }},
+		{"cfSkip", c.cfSkip, func(di *DynInst) bool { return !di.IsCF || di.Resolved }},
+		{"vpSkip", c.vpSkip, func(di *DynInst) bool { return di.AtVP }},
 	}
 	for _, s := range checks {
-		if s.idx < 0 || s.idx > s.max {
-			return fmt.Errorf("invariant: %s = %d out of range [0,%d]", s.name, s.idx, s.max)
+		if s.idx < 0 || s.idx > c.rob.n {
+			return fmt.Errorf("invariant: %s = %d out of range [0,%d]", s.name, s.idx, c.rob.n)
 		}
 		for i := 0; i < s.idx; i++ {
-			if !s.ok(i) {
+			if !s.ok(c.rob.at(i)) {
 				return fmt.Errorf("invariant: %s = %d skips an actionable entry at %d", s.name, s.idx, i)
 			}
 		}
@@ -228,8 +210,8 @@ func (c *Core) CheckInvariants() error {
 
 	// VP monotonicity: AtVP entries form a prefix of the ROB.
 	prefix := true
-	for i := 0; i < c.robLen; i++ {
-		di := c.robAt(i)
+	for i := 0; i < c.rob.n; i++ {
+		di := c.rob.at(i)
 		if di.AtVP && !prefix {
 			return fmt.Errorf("invariant: AtVP not a ROB prefix at seq %d", di.Seq)
 		}

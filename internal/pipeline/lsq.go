@@ -22,16 +22,7 @@ func (c *Core) noteMemStart(di *DynInst) {
 func (c *Core) memStage() {
 	ports := c.Cfg.MemPorts
 
-	// Skip the prefix of stores that have both translated and run their
-	// violation check: no further work here until they drain.
-	for c.sqMemSkip < c.sqLen {
-		st := c.sqAt(c.sqMemSkip)
-		if !st.violCheck || !st.MemIssued {
-			break
-		}
-		c.sqMemSkip++
-	}
-	sqA, sqB := c.sqWindowFrom(c.sqMemSkip)
+	sqA, sqB := c.sq.from(0)
 	for _, win := range [2][]*DynInst{sqA, sqB} {
 		for _, st := range win {
 			if !st.AddrKnown {
@@ -86,16 +77,7 @@ func (c *Core) memStage() {
 		}
 	}
 
-	// Skip the prefix of loads whose access has started (or that are about
-	// to be squashed for a violation): memStage is done with them.
-	for c.lqMemSkip < c.lqLen {
-		ld := c.lqAt(c.lqMemSkip)
-		if !ld.MemIssued && !ld.Violation {
-			break
-		}
-		c.lqMemSkip++
-	}
-	lqA, lqB := c.lqWindowFrom(c.lqMemSkip)
+	lqA, lqB := c.lq.from(0)
 	for _, win := range [2][]*DynInst{lqA, lqB} {
 		for _, ld := range win {
 			if !ld.AddrKnown || ld.MemIssued || ld.Violation {
@@ -212,7 +194,7 @@ const (
 // ring is walked as its two contiguous segments, younger one (backwards)
 // first, preserving youngest-first order.
 func (c *Core) findStoreSource(ld *DynInst) (*DynInst, fwdStatus) {
-	older, younger := c.SQWindow()
+	older, younger := c.sq.from(0)
 	for _, win := range [2][]*DynInst{younger, older} {
 		for i := len(win) - 1; i >= 0; i-- {
 			st := win[i]
@@ -272,7 +254,7 @@ func extractStoreBytes(stData uint64, st, ld *DynInst) uint64 {
 // violating store is recorded by value (sequence number and renamed address
 // operand) because its ring slot may be recycled before the squash fires.
 func (c *Core) checkViolations(st *DynInst) {
-	older, younger := c.LQWindow()
+	older, younger := c.lq.from(0)
 	for _, win := range [2][]*DynInst{older, younger} {
 		for _, ld := range win {
 			if ld.Seq <= st.Seq || !ld.MemIssued || ld.Violation {
@@ -300,8 +282,8 @@ func (c *Core) resolveViolations() {
 	if c.squashedThisCycle || c.violPending == 0 {
 		return
 	}
-	for i := 0; i < c.lqLen; i++ {
-		ld := c.lqAt(i)
+	for i := 0; i < c.lq.n; i++ {
+		ld := *c.lq.at(i)
 		if !ld.Violation {
 			continue
 		}

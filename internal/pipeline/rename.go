@@ -8,14 +8,14 @@ import "spt/internal/isa"
 // no per-instruction allocation.
 func (c *Core) renameDispatch() {
 	for n := 0; n < c.Cfg.RenameWidth; n++ {
-		if c.fbLen == 0 {
+		if c.fb.n == 0 {
 			return
 		}
-		fe := c.fbAt(0)
+		fe := c.fb.at(0)
 		if fe.readyCycle > c.cycle {
 			return
 		}
-		if c.robLen >= c.Cfg.ROBSize {
+		if c.rob.n >= c.Cfg.ROBSize {
 			return
 		}
 		ins := fe.ins
@@ -23,10 +23,10 @@ func (c *Core) renameDispatch() {
 		if needsRS && c.rsCount >= c.Cfg.RSSize {
 			return
 		}
-		if ins.IsLoad() && c.lqLen >= c.Cfg.LQSize {
+		if ins.IsLoad() && c.lq.n >= c.Cfg.LQSize {
 			return
 		}
-		if ins.IsStore() && c.sqLen >= c.Cfg.SQSize {
+		if ins.IsStore() && c.sq.n >= c.Cfg.SQSize {
 			return
 		}
 		if ins.HasDest() && len(c.freeList) == 0 {
@@ -34,11 +34,11 @@ func (c *Core) renameDispatch() {
 		}
 		// fe stays readable after the pop: the slot is only recycled by the
 		// fetch stage, which runs after rename within the cycle.
-		c.fbPopHead()
+		c.fb.popHead()
 
 		c.seq++
 		c.Stats.Renamed++
-		di := c.robPush()
+		di := c.rob.push()
 		di.Seq = c.seq
 		di.RenameCycle = c.cycle
 		di.PC = fe.pc
@@ -108,10 +108,10 @@ func (c *Core) renameDispatch() {
 			c.Tracer.Event(c.cycle, di, "rename")
 		}
 		if di.IsLd {
-			c.lqPush(di)
+			*c.lq.push() = di
 		}
 		if di.IsSt {
-			c.sqPush(di)
+			*c.sq.push() = di
 		}
 		if c.Pol != nil {
 			c.Pol.OnRename(di)

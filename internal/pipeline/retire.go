@@ -8,10 +8,10 @@ import "spt/internal/isa"
 // later rename, so h stays readable for the rest of this stage.
 func (c *Core) retire() {
 	for n := 0; n < c.Cfg.RetireWidth; n++ {
-		if c.robLen == 0 {
+		if c.rob.n == 0 {
 			return
 		}
-		h := c.robAt(0)
+		h := c.rob.at(0)
 		if !h.Done || h.Violation {
 			if (h.IsLd || h.IsSt) && !h.Done {
 				c.Stats.RetireStallsMemory++
@@ -46,10 +46,10 @@ func (c *Core) retire() {
 		}
 		c.robPopHead()
 		if h.IsLd {
-			c.lqPopHead()
+			c.lq.popHead()
 		}
 		if h.IsSt {
-			c.sqPopHead()
+			c.sq.popHead()
 		}
 		if h.Dst != NoReg && h.OldDst != NoReg {
 			c.freeList = append(c.freeList, h.OldDst)

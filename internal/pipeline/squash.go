@@ -8,21 +8,20 @@ func (c *Core) squashAfter(seq uint64) { c.squashFrom(seq + 1) }
 // youngest-to-oldest. The front end is NOT redirected here; callers follow
 // up with redirect().
 func (c *Core) squashFrom(seq uint64) {
-	cut := c.robLen
-	for cut > 0 && c.robAt(cut-1).Seq >= seq {
+	cut := c.rob.n
+	for cut > 0 && c.rob.at(cut-1).Seq >= seq {
 		cut--
 	}
-	if cut == c.robLen {
-		// Nothing in the ROB to squash; still drop the fetch buffer, which
-		// only ever holds instructions younger than anything renamed.
-		c.fbHead, c.fbLen = 0, 0
-		c.Stats.Squashes++
-		c.Stats.SquashDepth.Observe(0)
+	// The fetch buffer only ever holds instructions younger than anything
+	// renamed.
+	c.fb.n = 0
+	c.Stats.Squashes++
+	c.Stats.SquashDepth.Observe(uint64(c.rob.n - cut))
+	if cut == c.rob.n {
 		return
 	}
-	c.Stats.SquashDepth.Observe(uint64(c.robLen - cut))
-	for j := c.robLen - 1; j >= cut; j-- {
-		di := c.robAt(j)
+	for j := c.rob.n - 1; j >= cut; j-- {
+		di := c.rob.at(j)
 		di.Squashed = true
 		if c.Tracer != nil {
 			c.Tracer.Event(c.cycle, di, "squash")
@@ -53,42 +52,28 @@ func (c *Core) squashFrom(seq uint64) {
 		}
 		c.Stats.SquashedInstrs++
 	}
-	c.robLen = cut
-	for c.lqLen > 0 && c.lqAt(c.lqLen-1).Seq >= seq {
-		c.lqLen--
-		// Clear the vacated tail slot so no stale pointer lingers.
-		j := c.lqHead + c.lqLen
-		if j >= len(c.lq) {
-			j -= len(c.lq)
-		}
-		c.lq[j] = nil
+	c.rob.n = cut
+	truncate(&c.lq, seq)
+	truncate(&c.sq, seq)
+	// The truncated tail may have included skipped-prefix entries; clamp
+	// the scan-skip indexes to the surviving length.
+	c.execSkip = min(c.execSkip, cut)
+	c.cfSkip = min(c.cfSkip, cut)
+	c.vpSkip = min(c.vpSkip, cut)
+}
+
+// truncate drops the memory-queue entries with sequence number >= seq.
+func truncate(q *ring[*DynInst], seq uint64) {
+	for q.n > 0 && (*q.at(q.n - 1)).Seq >= seq {
+		q.n--
 	}
-	for c.sqLen > 0 && c.sqAt(c.sqLen-1).Seq >= seq {
-		c.sqLen--
-		j := c.sqHead + c.sqLen
-		if j >= len(c.sq) {
-			j -= len(c.sq)
-		}
-		c.sq[j] = nil
-	}
-	c.fbHead, c.fbLen = 0, 0
-	// The truncated tails may have included skipped-prefix entries; clamp
-	// the scan-skip indexes to the surviving lengths.
-	c.execSkip = min(c.execSkip, c.robLen)
-	c.cfSkip = min(c.cfSkip, c.robLen)
-	c.vpSkip = min(c.vpSkip, c.robLen)
-	c.lqMemSkip = min(c.lqMemSkip, c.lqLen)
-	c.lqDoneSkip = min(c.lqDoneSkip, c.lqLen)
-	c.sqMemSkip = min(c.sqMemSkip, c.sqLen)
-	c.sqDoneSkip = min(c.sqDoneSkip, c.sqLen)
-	c.Stats.Squashes++
 }
 
 // updateVP advances the visibility point for the configured attack model
 // and notifies the policy of every instruction crossing it
 // (declassification of transmitter/branch operands happens there).
 func (c *Core) updateVP() {
-	frontier := c.robLen - 1
+	frontier := c.rob.n - 1
 	switch c.Cfg.Model {
 	case Spectre:
 		// An instruction reaches the VP when all older control-flow
@@ -97,8 +82,8 @@ func (c *Core) updateVP() {
 		// unresolved control flow is in flight the whole window qualifies
 		// without a scan.
 		if c.cfUnresolved > 0 {
-			for i := 0; i < c.robLen; i++ {
-				di := c.robAt(i)
+			for i := 0; i < c.rob.n; i++ {
+				di := c.rob.at(i)
 				if di.IsCF && !di.Resolved {
 					frontier = i
 					break
@@ -117,8 +102,8 @@ func (c *Core) updateVP() {
 		// The counters say whether any shadow caster exists at all; the
 		// scan for the oldest one runs only when one does.
 		if c.cfUnresolved > 0 || c.memIncomplete > 0 || c.violPending > 0 {
-			for i := 0; i < c.robLen; i++ {
-				di := c.robAt(i)
+			for i := 0; i < c.rob.n; i++ {
+				di := c.rob.at(i)
 				shadowCaster := (di.IsCF && !di.Resolved) ||
 					((di.IsLd || di.IsSt) && !di.Done) ||
 					di.Violation
@@ -131,8 +116,8 @@ func (c *Core) updateVP() {
 	}
 	// AtVP spreads as a contiguous prefix: entries before vpSkip already
 	// crossed the visibility point in an earlier cycle.
-	for i := c.vpSkip; i <= frontier && i < c.robLen; i++ {
-		di := c.robAt(i)
+	for i := c.vpSkip; i <= frontier && i < c.rob.n; i++ {
+		di := c.rob.at(i)
 		if !di.AtVP {
 			di.AtVP = true
 			c.Stats.VPCrossings++

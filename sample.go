@@ -55,7 +55,8 @@ func (s SampleSpec) normalized(budget uint64) (SampleSpec, error) {
 	if s.Warmup == 0 {
 		s.Warmup = interval / 12
 	}
-	if s.Warmup+s.Detail > interval {
+	// Compared without adding the two, which could wrap around.
+	if s.Warmup > interval || s.Detail > interval-s.Warmup {
 		return s, fmt.Errorf("spt: sample window (%d warmup + %d detail) exceeds the interval length %d",
 			s.Warmup, s.Detail, interval)
 	}
