@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime/pprof"
 	"strings"
 
 	"spt/internal/attack"
@@ -56,6 +57,12 @@ type FuzzJob struct {
 	Index  int
 	Scheme Scheme
 	Model  AttackModel
+}
+
+// pprofLabels names the cell in CPU profiles (see runPool); the workload
+// is the generated gadget's index.
+func (j FuzzJob) pprofLabels() pprof.LabelSet {
+	return pprof.Labels("workload", fmt.Sprintf("gadget-%d", j.Index), "scheme", string(j.Scheme), "model", string(j.Model))
 }
 
 func (j FuzzJob) String() string {

@@ -317,8 +317,15 @@ type Policy interface {
 	// MaySquashOnViolation gates the memory-dependence-violation squash of
 	// load ld (an implicit branch over the involved store/load addresses).
 	MaySquashOnViolation(ld *DynInst) bool
-	// Tick runs once per cycle after retire/VP update (untaint propagation).
-	Tick()
+	// Tick runs after retire/VP update (untaint propagation) and reports
+	// whether it was idle: whether calling it again, before the core's state
+	// changes, would change nothing. The core then skips Tick until its
+	// window-change epoch moves (see Core.epoch). So idleness may depend
+	// only on core state that changes at an epoch-bumping site, and on
+	// policy state changed by hooks that run inside those sites; a policy
+	// whose Tick depends on anything else (the cycle number, a timer) must
+	// report false.
+	Tick() (idle bool)
 }
 
 // Core is the simulated processor.
@@ -407,6 +414,21 @@ type Core struct {
 	memBusy      int // mem port uses this cycle
 
 	squashedThisCycle bool
+
+	// epoch counts changes to the state the issue scan and the policy's
+	// Tick read. It is bumped at rename, a non-empty squash, retire, issue,
+	// every completion, every memory access start, violation marking, a
+	// visibility-point crossing and branch resolution. A scan that could
+	// not act at epoch e cannot act again while the epoch is still e, so
+	// issueIdle and tickIdle remember the epoch of the last such scan and
+	// the scan is skipped while they match. reset starts the epoch at 1 and
+	// zeroes both memos, so a fresh or pooled core starts unarmed.
+	epoch     uint64
+	issueIdle uint64 // epoch of the last issue scan that could not act
+	tickIdle  uint64 // epoch of the last Tick that reported idle
+	// scanEveryCycle disables both memos: the every-cycle reference twin
+	// the equivalence tests run against.
+	scanEveryCycle bool
 
 	// statReg is the gem5-style registry of every counter above plus the
 	// memory system's, predictors', and policy's. Built on the first
@@ -541,6 +563,7 @@ func (c *Core) reset(cfg Config, prog *isa.Program, pol Policy, m *emu.Memory, e
 		sq:           sq,
 		aluBusyUntil: aluBusyUntil,
 		rsList:       rsList,
+		epoch:        1,
 	}
 	// Physical register 0 is the hardwired zero: always ready, never freed.
 	c.prfReady[0] = true
@@ -753,8 +776,8 @@ func (c *Core) Step() {
 	c.renameDispatch()
 	c.fetch()
 	c.updateVP()
-	if c.Pol != nil {
-		c.Pol.Tick()
+	if c.Pol != nil && (c.tickIdle != c.epoch || c.scanEveryCycle) && c.Pol.Tick() {
+		c.tickIdle = c.epoch
 	}
 	c.cycle++
 	c.Stats.Cycles = c.cycle

@@ -45,8 +45,16 @@ func (c *Core) srcsReadyForIssue(di *DynInst) bool {
 // slots — so a cycle costs O(RS occupancy), not O(ROB span). Entries whose
 // ring slot was recycled (seq mismatch) or that left the RS via a squash
 // (Dispatched cleared) are dropped here; the list is compacted in place.
+//
+// A scan that issued nothing with no entry held back by a busy ALU found
+// every live entry waiting on a source; only a completion or a rename can
+// change that, and both bump the epoch, so issue skips until it moves.
 func (c *Core) issue() {
+	if c.issueIdle == c.epoch && !c.scanEveryCycle {
+		return
+	}
 	issued := 0
+	aluBlocked := false
 	w := 0
 	for r := 0; r < len(c.rsList); r++ {
 		e := c.rsList[r]
@@ -80,6 +88,7 @@ func (c *Core) issue() {
 			c.Stats.RSDelay.Observe(c.cycle - di.RenameCycle)
 			di.EffAddr = c.prf[di.Src1] + uint64(di.Ins.Imm)
 			di.AddrKnown = true
+			c.epoch++
 			issued++
 			continue
 		}
@@ -95,6 +104,7 @@ func (c *Core) issue() {
 		if slot < 0 {
 			c.rsList[w] = e // no free unit: still waiting in the RS
 			w++
+			aluBlocked = true
 			continue
 		}
 		lat := c.opLatency(di.Ins.Op)
@@ -115,9 +125,13 @@ func (c *Core) issue() {
 		if c.Tracer != nil {
 			c.Tracer.Event(c.cycle, di, "issue")
 		}
+		c.epoch++
 		issued++
 	}
 	c.rsList = c.rsList[:w]
+	if issued == 0 && !aluBlocked {
+		c.issueIdle = c.epoch
+	}
 }
 
 // computeResult evaluates di functionally. Results become architecturally
@@ -187,6 +201,7 @@ robScan:
 			}
 			di.Done = true
 			c.execOutstanding--
+			c.epoch++
 			if di.Dst != NoReg {
 				c.prf[di.Dst] = di.Val
 				c.prfReady[di.Dst] = true
@@ -205,6 +220,7 @@ robScan:
 			}
 			di.Done = true
 			c.memIncomplete--
+			c.epoch++
 			if di.Dst != NoReg {
 				c.prf[di.Dst] = di.Val
 				c.prfReady[di.Dst] = true
@@ -230,6 +246,7 @@ robScan:
 			di.Val = c.val(di.Src2)
 			di.Done = true
 			c.memIncomplete--
+			c.epoch++
 			if c.Tracer != nil {
 				c.Tracer.Event(c.cycle, di, "complete")
 			}
@@ -292,6 +309,7 @@ func (c *Core) resolveBranchWindow(win []DynInst, pending *int) bool {
 		}
 		di.Resolved = true
 		c.cfUnresolved--
+		c.epoch++
 		di.Mispredicted = misp
 		if c.Tracer != nil {
 			stage := "resolve"

@@ -12,22 +12,34 @@ import "fmt"
 //     other architectural register to a unique physical register;
 //   - ROB/LQ/SQ are sequence-ordered and the memory queues are exactly the
 //     memory subsets of the ROB;
-//   - the RS/control-flow/execution occupancy counters match recounts.
+//   - the RS/control-flow/execution occupancy counters match recounts;
+//   - while the issue memo is armed, no live RS entry has ready sources.
 func (c *Core) CheckInvariants() error {
-	// RAT validity and uniqueness.
+	// RAT validity and uniqueness. owner records who holds each physical
+	// register: r+1 for the RAT mapping of architectural register r,
+	// -(i+1) for the in-flight destination of ROB entry i, 0 for nobody.
+	// Plain slices keep the check cheap enough to run every cycle.
+	n := c.Cfg.PhysRegs
+	inRange := func(p PhysReg) bool { return p >= 0 && int(p) < n }
+	owner := make([]int, n)
+	name := func(o int) string {
+		if o > 0 {
+			return fmt.Sprintf("r%d", o-1)
+		}
+		return fmt.Sprintf("seq%d", c.rob.at(-o-1).Seq)
+	}
 	if c.rat[0] != 0 {
 		return fmt.Errorf("invariant: zero register mapped to p%d", c.rat[0])
 	}
-	seen := make(map[PhysReg]string, c.Cfg.PhysRegs)
 	for r, p := range c.rat {
-		if p < 0 || int(p) >= c.Cfg.PhysRegs {
+		if !inRange(p) {
 			return fmt.Errorf("invariant: rat[r%d] = p%d out of range", r, p)
 		}
 		if r != 0 {
-			if prev, dup := seen[p]; dup {
-				return fmt.Errorf("invariant: p%d mapped by both %s and r%d", p, prev, r)
+			if o := owner[p]; o != 0 {
+				return fmt.Errorf("invariant: p%d mapped by both %s and r%d", p, name(o), r)
 			}
-			seen[p] = fmt.Sprintf("r%d", r)
+			owner[p] = r + 1
 		}
 	}
 
@@ -39,26 +51,33 @@ func (c *Core) CheckInvariants() error {
 		if di.Dst == NoReg {
 			continue
 		}
-		if prev, dup := seen[di.Dst]; dup && prev != fmt.Sprintf("r%d", di.Ins.Rd) {
-			return fmt.Errorf("invariant: p%d owned by %s and seq %d", di.Dst, prev, di.Seq)
+		if !inRange(di.Dst) || (di.OldDst != NoReg && !inRange(di.OldDst)) {
+			return fmt.Errorf("invariant: seq %d renames p%d over p%d, out of range", di.Seq, di.Dst, di.OldDst)
 		}
-		seen[di.Dst] = fmt.Sprintf("seq%d", di.Seq)
+		if o := owner[di.Dst]; o != 0 && o != int(di.Ins.Rd)+1 {
+			return fmt.Errorf("invariant: p%d owned by %s and seq %d", di.Dst, name(o), di.Seq)
+		}
+		owner[di.Dst] = -(i + 1)
 	}
-	free := make(map[PhysReg]bool, len(c.freeList))
+	free := make([]bool, n)
 	for _, p := range c.freeList {
+		if !inRange(p) {
+			return fmt.Errorf("invariant: p%d on the free list out of range", p)
+		}
 		if free[p] {
 			return fmt.Errorf("invariant: p%d on the free list twice", p)
 		}
 		free[p] = true
-		if owner, used := seen[p]; used && owner[0] == 's' {
-			return fmt.Errorf("invariant: p%d free but in flight (%s)", p, owner)
+		if o := owner[p]; o < 0 {
+			return fmt.Errorf("invariant: p%d free but in flight (%s)", p, name(o))
 		}
 	}
 
 	// Conservation: mapped + in-flight OldDst chain + free = all.
 	// Every physical register except p0 must be either free, RAT-mapped,
-	// an in-flight Dst, or an in-flight OldDst (awaiting retirement).
-	owned := make(map[PhysReg]bool, c.Cfg.PhysRegs)
+	// an in-flight Dst, or an in-flight OldDst (awaiting retirement). The
+	// free marks are no longer needed, so owned grows from them.
+	owned := free
 	owned[0] = true
 	for r := 1; r < len(c.rat); r++ {
 		owned[c.rat[r]] = true
@@ -72,11 +91,8 @@ func (c *Core) CheckInvariants() error {
 			owned[di.OldDst] = true
 		}
 	}
-	for p := range free {
-		owned[p] = true
-	}
-	for p := 1; p < c.Cfg.PhysRegs; p++ {
-		if !owned[PhysReg(p)] {
+	for p := 1; p < n; p++ {
+		if !owned[p] {
 			return fmt.Errorf("invariant: p%d leaked (not mapped, in flight, or free)", p)
 		}
 	}
@@ -184,6 +200,21 @@ func (c *Core) CheckInvariants() error {
 	}
 	if live != c.rsCount {
 		return fmt.Errorf("invariant: rsList holds %d live entries, rsCount %d", live, c.rsCount)
+	}
+
+	// An armed issue memo claims every live RS entry waits on a source. The
+	// check reads the register file directly: srcsReadyForIssue would
+	// write the rdy1/rdy2 memos it is meant to audit.
+	if c.issueIdle == c.epoch {
+		for _, e := range c.rsList {
+			di := e.di
+			if di.Seq != e.seq || !di.Dispatched || di.Issued {
+				continue
+			}
+			if c.RegReady(di.Src1) && (di.IsSt || c.RegReady(di.Src2)) {
+				return fmt.Errorf("invariant: issue memo armed at epoch %d but seq %d has ready sources", c.epoch, di.Seq)
+			}
+		}
 	}
 
 	// ROB prefix-skip indexes: every skipped entry must satisfy its scan's

@@ -18,17 +18,14 @@ func TestInvariantsHoldEveryCycle(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		p := workloads.RandomProgram(rng.Int63(), 60)
 		for _, model := range []pipeline.AttackModel{pipeline.Spectre, pipeline.Futuristic} {
-			c, err := pipeline.New(pipeline.DefaultConfig(), p, mem.NewHierarchy(mem.DefaultHierarchyConfig()), nil)
+			c, err := pipeline.New(withModel(model), p, mem.NewHierarchy(mem.DefaultHierarchyConfig()), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_ = model
 			for i := 0; i < 500_000 && !c.Finished(); i++ {
 				c.Step()
-				if i%64 == 0 { // checking every cycle is O(n^2)-ish; sample
-					if err := c.CheckInvariants(); err != nil {
-						t.Fatalf("trial %d cycle %d: %v", trial, c.Cycle(), err)
-					}
+				if err := c.CheckInvariants(); err != nil {
+					t.Fatalf("trial %d %s cycle %d: %v", trial, model, c.Cycle(), err)
 				}
 			}
 			if !c.Finished() {

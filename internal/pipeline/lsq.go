@@ -1,9 +1,11 @@
 package pipeline
 
-// noteMemStart records stats when a memory instruction's access finally
-// starts: the executed-op counter and, if the policy ever blocked it, the
-// delayed-transmitter count and blocked-cycle distribution.
+// noteMemStart records a memory instruction's access start (MemIssued,
+// and for a forwarded load FwdStore): it bumps the epoch and counts the
+// executed op and, if the policy ever blocked it, the delayed-transmitter
+// count and blocked-cycle distribution.
 func (c *Core) noteMemStart(di *DynInst) {
+	c.epoch++
 	if di.IsLd {
 		c.Stats.LoadsExecuted++
 	} else {
@@ -268,6 +270,7 @@ func (c *Core) checkViolations(st *DynInst) {
 			}
 			ld.Violation = true
 			c.violPending++
+			c.epoch++
 			ld.HasViolStore = true
 			ld.ViolStoreSeq = st.Seq
 			ld.ViolSrc1 = st.Src1

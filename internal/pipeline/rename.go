@@ -37,6 +37,7 @@ func (c *Core) renameDispatch() {
 		c.fb.popHead()
 
 		c.seq++
+		c.epoch++
 		c.Stats.Renamed++
 		di := c.rob.push()
 		di.Seq = c.seq

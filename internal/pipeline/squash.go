@@ -20,6 +20,7 @@ func (c *Core) squashFrom(seq uint64) {
 	if cut == c.rob.n {
 		return
 	}
+	c.epoch++
 	for j := c.rob.n - 1; j >= cut; j-- {
 		di := c.rob.at(j)
 		di.Squashed = true
@@ -120,6 +121,7 @@ func (c *Core) updateVP() {
 		di := c.rob.at(i)
 		if !di.AtVP {
 			di.AtVP = true
+			c.epoch++
 			c.Stats.VPCrossings++
 			c.Stats.VPDistance.Observe(c.cycle - di.RenameCycle)
 			if c.Tracer != nil {

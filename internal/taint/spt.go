@@ -372,9 +372,16 @@ func (s *SPT) recordCycle() {
 // the cycle-start taint state; phase two commits at most BroadcastWidth
 // newly untainted registers, oldest instruction first, destinations before
 // sources. UntaintIdeal instead iterates to fixpoint.
-func (s *SPT) Tick() {
+//
+// Tick is idle when it applied nothing: the candidates are then a pure
+// function of the window, the pending VP declassifications and the taint
+// state, so a repeat call before the next window change finds the same
+// already-untainted set. The SecureBaseline
+// never untaints, and UntaintIdeal ends every call at its fixpoint, so
+// both are always idle.
+func (s *SPT) Tick() (idle bool) {
 	if !s.tracking() {
-		return
+		return true
 	}
 	if s.cfg.Method == UntaintIdeal {
 		for {
@@ -384,10 +391,11 @@ func (s *SPT) Tick() {
 			}
 		}
 		s.recordCycle()
-		return
+		return true
 	}
-	s.commit(s.candidates(), s.cfg.BroadcastWidth)
+	applied := s.commit(s.candidates(), s.cfg.BroadcastWidth)
 	s.recordCycle()
+	return applied == 0
 }
 
 // candidates gathers all registers the rules can untaint, evaluated

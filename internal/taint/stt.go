@@ -154,10 +154,14 @@ func (t *STT) STLForwardPublic(st, ld *pipeline.DynInst) bool {
 // A full recompute over the in-flight window (oldest first) reproduces the
 // paper's fast untaint hardware: a load's output is s-tainted iff the load
 // has not reached the VP; every other output is the OR of its inputs.
-func (t *STT) Tick() {
+//
+// The recompute is idempotent: one oldest-first pass reaches the fixpoint
+// (sources are older than their consumers), so Tick is always idle.
+func (t *STT) Tick() (idle bool) {
 	older, younger := t.core.ROBWindow()
 	t.tickWindow(older)
 	t.tickWindow(younger)
+	return true
 }
 
 func (t *STT) tickWindow(win []pipeline.DynInst) {

@@ -1,4 +1,4 @@
-// Package workloads provides the µRISC programs the evaluation runs: 14
+// Package workloads provides the µRISC programs the evaluation runs: 16
 // SPEC-CPU2017-like synthetic kernels, three constant-time crypto/sorting
 // kernels, and a random-program generator used by the property tests.
 // See doc.go for the kernel inventory.
@@ -20,8 +20,53 @@ import (
 // filler by the leakage fuzzer. The program is a pure function of
 // (seed, size) — the name "random-<seed>" makes any run reproducible.
 func RandomProgram(seed int64, size int) *isa.Program {
-	rng := rand.New(rand.NewSource(seed))
-	b := asm.NewBuilder(fmt.Sprintf("random-%d", seed))
+	return genProgram(fmt.Sprintf("random-%d", seed), rand.New(rand.NewSource(seed)), size)
+}
+
+// BytesProgram generates a terminating program of the same shape as
+// RandomProgram, but reads every choice from data, so a coverage-guided
+// fuzzer that mutates data steers the program directly. The program's
+// length grows with len(data); choices past the end of data read as zero,
+// and the initial data image comes from a fixed generator so it does not
+// use up the input.
+func BytesProgram(data []byte) *isa.Program {
+	in := &byteChoices{data: data, image: rand.New(rand.NewSource(1))}
+	return genProgram("bytes", in, 1+min(len(data)/2, 64))
+}
+
+// choices is the randomness genProgram draws on: a seeded *rand.Rand for
+// RandomProgram, the input bytes for BytesProgram.
+type choices interface {
+	Intn(n int) int
+	Int63n(n int64) int64
+	Uint64() uint64
+}
+
+// byteChoices reads choices from a byte string: each draw from [0, n)
+// consumes just enough bytes to cover n.
+type byteChoices struct {
+	data  []byte
+	image *rand.Rand // Uint64: the data image, independent of data
+}
+
+func (b *byteChoices) next(n uint64) uint64 {
+	var v uint64
+	for span := n - 1; span > 0; span >>= 8 {
+		v <<= 8
+		if len(b.data) > 0 {
+			v |= uint64(b.data[0])
+			b.data = b.data[1:]
+		}
+	}
+	return v % n
+}
+
+func (b *byteChoices) Intn(n int) int       { return int(b.next(uint64(n))) }
+func (b *byteChoices) Int63n(n int64) int64 { return int64(b.next(uint64(n))) }
+func (b *byteChoices) Uint64() uint64       { return b.image.Uint64() }
+
+func genProgram(name string, rng choices, size int) *isa.Program {
+	b := asm.NewBuilder(name)
 
 	const dataBase = 0x10000
 	const dataSize = 1 << 12 // small region: heavy aliasing

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/pprof"
 	"sync"
 )
 
@@ -68,6 +69,11 @@ func RunJobs(jobs []Job, opt EvalOptions) (map[Job]*Result, error) {
 	return runGrid(jobs, opt, jobRunner(jobs, opt))
 }
 
+// pprofLabels names the cell in CPU profiles (see runPool).
+func (j Job) pprofLabels() pprof.LabelSet {
+	return pprof.Labels("workload", j.Workload, "scheme", string(j.Scheme), "model", string(j.Model))
+}
+
 // runJob simulates one grid cell.
 func runJob(j Job) (*Result, error) { return Run(j.Workload, j.options()) }
 
@@ -119,6 +125,14 @@ type poolConfig[J comparable] struct {
 	Context context.Context
 	// Progress, if non-nil, is called (serialized) after each completion.
 	Progress func(done, total int, j J)
+}
+
+// cellJob is a pool job that names a grid cell. runPool runs each such
+// job under its pprof labels, so one CPU profile of a grid splits per cell
+// (go tool pprof -tagfocus workload=mcf); goroutines a job starts, such as
+// a sampled cell's window workers, inherit the labels.
+type cellJob interface {
+	pprofLabels() pprof.LabelSet
 }
 
 // safeRun converts a panicking job into a structured error naming the
@@ -190,7 +204,13 @@ func runPool[J comparable, R any](jobs []J, cfg poolConfig[J], run func(J) (R, e
 	// exactly the simulations that ran, so a caller's final tick count
 	// matches executed work even when the last job fails or panics.
 	exec := func(k int) {
-		results[k], errs[k] = safeRun(order[k], run)
+		if cj, ok := any(order[k]).(cellJob); ok {
+			pprof.Do(ctx, cj.pprofLabels(), func(context.Context) {
+				results[k], errs[k] = safeRun(order[k], run)
+			})
+		} else {
+			results[k], errs[k] = safeRun(order[k], run)
+		}
 		report(k)
 	}
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime/pprof"
 	"strings"
 
 	"spt/internal/fuzz"
@@ -66,6 +67,11 @@ type VerifyJob struct {
 	Index  int
 	Scheme Scheme
 	Model  AttackModel
+}
+
+// pprofLabels names the cell in CPU profiles (see runPool).
+func (j VerifyJob) pprofLabels() pprof.LabelSet {
+	return pprof.Labels("workload", j.Name, "scheme", string(j.Scheme), "model", string(j.Model))
 }
 
 func (j VerifyJob) String() string {
